@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import lattice
 from .errors import PreconditionError
 from .fan import ConeRef, LatticeFan, faces_of_dim, spans_cone, wall_relation
-from .primitive import CurveClass, PrimitiveRelation
+from .primitive import CurveClass
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,6 @@ def screen_2fano(f: LatticeFan) -> tuple[list[tuple[ConeRef, Fraction]], Fractio
         raise PreconditionError("screening needs dimension >= 2")
     rows = [(tau, ch2_dot_invariant_surface(f, tau)) for tau in faces_of_dim(f, f.rank - 2)]
     return rows, min(v for _, v in rows)
-
-
-def degree_via_chern(f: LatticeFan, rel: PrimitiveRelation) -> int:
-    """Anticanonical degree of a primitive relation computed from the curve
-    class; must agree with the combinatorial degree."""
-    return anticanonical_degree(f, rel.curve_class())
 
 
 def candidate_bound_predicate(n: int, m: int, rho: int) -> bool:

@@ -183,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricfans",
         description="Primitive collections, fan surgery and ch2 screening for smooth proper toric varieties",
     )
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="accepted for compatibility; every command is deterministic (no randomness anywhere)",
-    )
     from . import __version__
 
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

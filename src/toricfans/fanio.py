@@ -14,6 +14,8 @@ UTF-8, LF line endings, "#" starts a comment.
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -369,6 +371,8 @@ class BatchRow:
     error: str = ""
 
     def csv(self) -> str:
+        """The row as one CSV record with minimal quoting, without the newline."""
+
         def s(x):
             if x is None:
                 return ""
@@ -376,7 +380,8 @@ class BatchRow:
                 return "true" if x else "false"
             return str(x)
 
-        return ",".join(
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(
             [
                 self.file,
                 s(self.dim),
@@ -390,6 +395,7 @@ class BatchRow:
                 self.error,
             ]
         )
+        return out.getvalue()[:-1]
 
 
 CSV_HEADER = "file,dim,rays,picard_rank,is_fano,m,rpc_count,min_ch2_surface,bound_candidate,error"
@@ -422,7 +428,7 @@ def classify_file(path: str) -> BatchRow:
             bound_candidate=bound,
         )
     except Exception as e:  # keep the batch going; the row records the failure
-        return BatchRow(file=name, error=str(e).replace(",", ";").replace("\n", " "))
+        return BatchRow(file=name, error=str(e).replace("\n", " "))
 
 
 def batch_classify(directory: str | Path, workers: int = 1):

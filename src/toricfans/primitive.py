@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from . import _accel, lattice
+from . import lattice
 from .errors import PreconditionError
 from .fan import ConeRef, LatticeFan, ZERO_CONE, locate, spans_cone
 from .lattice import IntVector
@@ -59,37 +58,32 @@ class PrimitiveRelation:
         return f"{lhs} = {rhs}"
 
 
-def relation_signature(f: LatticeFan, rel: PrimitiveRelation):
-    """Fan-independent identity of a relation: its ray vectors and focus
-    multiplicities.  Stable across the index shifts of blowups/blowdowns."""
-    lhs = tuple(sorted(f.vector(i) for i in rel.collection))
-    rhs = tuple(sorted((f.vector(i), mu) for i, mu in zip(rel.focus, rel.coefficients)))
-    return lhs, rhs
-
-
 @lru_cache(maxsize=4096)
 def _pc_masks(cone_masks: tuple[int, ...], n_rays: int) -> tuple[int, ...]:
-    if n_rays <= _accel.MAX_KERNEL_RAYS:
-        return tuple(_accel.minimal_nonface_masks(list(cone_masks), n_rays))
-    return tuple(_pc_masks_python(cone_masks, n_rays))
-
-
-def _pc_masks_python(cone_masks: tuple[int, ...], n_rays: int) -> list[int]:
-    # Increasing-size enumeration with superset pruning; exponential in the
-    # ray count, only reached past the bitmask-kernel cap.
-    found: list[int] = []
-    out: list[int] = []
-    for size in range(2, n_rays + 1):
-        for subset in combinations(range(n_rays), size):
-            m = 0
-            for i in subset:
-                m |= 1 << i
-            if any(pc & m == pc for pc in found):
+    # A minimal non-face P is F | {v} with v its highest ray and F = P - {v}
+    # a face, so extending every face by every ray above its top bit finds
+    # each one exactly once.
+    faces = {0}
+    for cone in cone_masks:
+        sub = cone
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & cone
+    out = []
+    for face in faces:
+        for v in range(face.bit_length(), n_rays):
+            p = face | 1 << v
+            if p in faces:
                 continue
-            if not any(cm & m == m for cm in cone_masks):
-                out.append(m)
-        found = out[:]
-    return sorted(out)
+            rest = face
+            while rest:
+                low = rest & -rest
+                if p ^ low not in faces:
+                    break
+                rest ^= low
+            else:
+                out.append(p)
+    return tuple(sorted(out))
 
 
 def primitive_collections(f: LatticeFan) -> list[ConeRef]:

@@ -3,7 +3,8 @@
 The blowdown/blowup transfer rules for primitive collections are implemented
 here literally, separate from the package (which always re-enumerates
 collections from scratch on the surgered fan); the two routes are compared in
-the surgery tests.
+the surgery tests.  A brute-force subset search is the reference for the
+package's face-extension enumerator of minimal non-faces.
 """
 
 from fractions import Fraction
@@ -50,6 +51,27 @@ def pc_after_blowup(pcs, tbar, z):
         if not any(other < c for other in candidates):
             out.add(c)
     return out
+
+
+def minimal_nonfaces_brute_force(cone_masks, n_rays):
+    """Minimal non-face bitmasks of the complex whose facets are cone_masks,
+    by increasing-size search over all ray subsets with superset pruning.
+    Exponential in n_rays; ascending order, like ``primitive._pc_masks``."""
+    from itertools import combinations
+
+    found = []
+    out = []
+    for size in range(2, n_rays + 1):
+        for subset in combinations(range(n_rays), size):
+            m = 0
+            for i in subset:
+                m |= 1 << i
+            if any(pc & m == pc for pc in found):
+                continue
+            if not any(cm & m == m for cm in cone_masks):
+                out.append(m)
+        found = out[:]
+    return sorted(out)
 
 
 def _proper_subsets(s):

@@ -214,3 +214,21 @@ class TestBatch:
         assert row.bound_candidate is False and not row.error
         assert hist == {}
         assert ",,," in row.csv()  # empty m and rpc columns
+
+    def test_comma_in_file_name_round_trips(self, tmp_path):
+        import csv
+
+        from toricfans.cli import main
+
+        fans = tmp_path / "fans"
+        fans.mkdir()
+        write_fan(p2(), fans / "a,b.fan")
+        write_fan(p2(), fans / "plain.fan")
+        out = tmp_path / "out.csv"
+        assert main(["batch", str(fans), "-o", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        header, quoted, plain = csv.reader(text.splitlines())
+        assert len(header) == len(quoted) == len(plain) == 10
+        assert quoted[0] == "a,b.fan" and plain[0] == "plain.fan"
+        assert quoted[1:] == plain[1:]
+        assert text.splitlines()[2].startswith("plain.fan,2,3,1,")  # unquoted when no comma
