@@ -46,12 +46,7 @@ def wall_curve_class(f: LatticeFan, wall: ConeRef) -> CurveClass:
 def _dual_covector(f: LatticeFan, cone: ConeRef, ray: int) -> tuple[int, ...]:
     """m in the dual lattice with <m, ray> = 1 and <m, w> = 0 for the other
     rays of ``cone`` (integral by unimodularity)."""
-    basis = [f.vector(i) for i in cone]
-    k = cone.index(ray)
-    target = tuple(1 if i == k else 0 for i in range(f.rank))
-    sol = lattice.solve_integer_system(basis, target)
-    assert isinstance(sol, tuple)
-    return sol
+    return f.dual_basis(cone)[cone.index(ray)]
 
 
 def divisor_dot_orbit(f: LatticeFan, ray: int, orbit: ConeRef) -> CycleExpression:

@@ -155,7 +155,7 @@ def _cmd_batch(args) -> int:
         print(f"dim {dim}: {parts}")
     for r in errors:
         print(f"  error {r.file}: {r.error}", file=sys.stderr)
-    return 0
+    return 1 if any(r.internal for r in errors) else 0
 
 
 def _cmd_check_cert(args) -> int:

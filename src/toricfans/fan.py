@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import lattice
-from .errors import FanValidationError, PreconditionError
+from .errors import FanValidationError, PreconditionError, ToricError
 from .lattice import IntVector
 
 ConeRef = tuple[int, ...]
@@ -113,6 +113,25 @@ class LatticeFan:
     @cached_property
     def cone_masks(self) -> tuple[int, ...]:
         return tuple(_mask(c) for c in self.max_cones)
+
+    @cached_property
+    def _dual_bases(self) -> dict[ConeRef, tuple[IntVector, ...]]:
+        return {}
+
+    @cached_property
+    def _wall_relations(self) -> dict[ConeRef, tuple[int, ...]]:
+        return {}
+
+    def dual_basis(self, cone: ConeRef) -> tuple[IntVector, ...]:
+        """Covectors m_k with <m_k, v_j> = [k == j] for the rays v_j of a
+        unimodular cone (the columns of the inverse of its ray matrix), so
+        <m_k, p> is p's k-th coordinate in the cone's basis.  Computed on
+        first use and kept for the life of the fan."""
+        duals = self._dual_bases.get(cone)
+        if duals is None:
+            inverse = lattice.unimodular_inverse([self.vector(i) for i in cone])
+            duals = self._dual_bases[cone] = tuple(zip(*inverse))
+        return duals
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -240,7 +259,7 @@ def locate(f: LatticeFan, p: Sequence[int]) -> tuple[ConeRef, tuple[int, ...]]:
     if all(x == 0 for x in p):
         return ZERO_CONE, ()
     for cone in f.max_cones:
-        coords = lattice.express_in_basis([f.vector(i) for i in cone], p)
+        coords = [sum(a * b for a, b in zip(m, p)) for m in f.dual_basis(cone)]
         if all(c >= 0 for c in coords):
             support = tuple(i for i, c in zip(cone, coords) if c > 0)
             coeffs = tuple(c for c in coords if c > 0)
@@ -314,14 +333,27 @@ def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
 
 def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
     """Integer vector alpha over all rays with sum_v alpha_v * v = 0,
-    normalized to +1 on the two rays opposite the wall."""
+    normalized to +1 on the two rays opposite the wall.
+
+    The wall coefficients are the coordinates of -(u1 + u2) in the basis of
+    the cone wall + u1, whose u1 coordinate must vanish.  Memoised per wall
+    on the fan."""
+    wall = tuple(wall)
+    alpha = f._wall_relations.get(wall)
+    if alpha is not None:
+        return alpha
     u1, u2 = wall_neighbors(f, wall)
     target = [-(a + b) for a, b in zip(f.vector(u1), f.vector(u2))]
     if wall:
-        cols = tuple(
-            tuple(f.vector(w)[d] for w in wall) for d in range(f.rank)
-        )
-        sol = lattice.solve_integer_system(cols, target)
+        host = tuple(sorted(wall + (u1,)))
+        try:
+            duals = f.dual_basis(host)
+        except ToricError:  # the host cone is not unimodular: an invalid fan
+            cols = tuple(tuple(f.vector(w)[d] for w in wall) for d in range(f.rank))
+            sol = lattice.solve_integer_system(cols, target)
+        else:
+            coords = {i: lattice.dot(m, target) for i, m in zip(host, duals)}
+            sol = lattice.NO_SOLUTION if coords[u1] else tuple(coords[w] for w in wall)
         if not isinstance(sol, tuple):
             raise FanValidationError(
                 f"wall {f.cone_labels(wall)} has no integral relation ({sol})"
@@ -335,7 +367,8 @@ def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
     alpha[u2] += 1
     for w, c in zip(wall, sol):
         alpha[w] = c
-    return tuple(alpha)
+    alpha = f._wall_relations[wall] = tuple(alpha)
+    return alpha
 
 
 def is_projective(f: LatticeFan) -> bool:
@@ -345,10 +378,12 @@ def is_projective(f: LatticeFan) -> bool:
     every wall curve, so the fan is projective iff the system
     a . alpha_w > 0 over all wall relations is strictly feasible; by duality
     that fails precisely when some nonzero nonnegative combination of wall
-    curve classes vanishes, which is decided exactly over the rationals."""
+    curve classes vanishes, which is decided exactly over the rationals.
+    Walls sharing a curve class give one row: repeating a row does not
+    change the answer."""
     f.require_valid()
     walls = faces_of_dim(f, f.rank - 1)
-    rows = [wall_relation(f, w) for w in walls]
+    rows = list(dict.fromkeys(wall_relation(f, w) for w in walls))
     if not rows:
         return True
     return not lattice.has_nonnegative_kernel(rows)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import lattice
 from .chern import candidate_bound_predicate, screen_2fano
-from .errors import ParseError, PreconditionError, ReconstructionError
+from .errors import ParseError, PreconditionError, ReconstructionError, ToricError
 from .fan import LatticeFan
 from .primitive import (
     centered_collections,
@@ -72,7 +72,10 @@ def parse_fan(text: str) -> LatticeFan:
     m = re.fullmatch(r"dim (\d+) rays (\d+) maxcones (\d+)", sizes)
     if not m:
         raise ParseError("size line must be 'dim <n> rays <r> maxcones <k>'", lineno)
-    dim, n_rays, n_cones = (int(g) for g in m.groups())
+    try:
+        dim, n_rays, n_cones = (int(g) for g in m.groups())
+    except ValueError:  # past the interpreter's integer digit limit
+        raise ParseError("size line numbers are too large", lineno)
     if len(rows) != 2 + n_rays + n_cones:
         raise ParseError(
             f"expected {n_rays} ray lines and {n_cones} cone lines, found {len(rows) - 2}"
@@ -103,7 +106,11 @@ def parse_fan(text: str) -> LatticeFan:
 
 
 def read_fan(path: str | Path) -> LatticeFan:
-    return parse_fan(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})")
+    return parse_fan(text)
 
 
 def write_fan(f: LatticeFan, path: str | Path) -> None:
@@ -397,6 +404,11 @@ class BatchRow:
         )
         return out.getvalue()[:-1]
 
+    @property
+    def internal(self) -> bool:
+        """True when the error is a defect of toricfans, not of the file."""
+        return self.error.startswith("internal: ")
+
 
 CSV_HEADER = "file,dim,rays,picard_rank,is_fano,m,rpc_count,min_ch2_surface,bound_candidate,error"
 
@@ -427,8 +439,10 @@ def classify_file(path: str) -> BatchRow:
             min_ch2=min_ch2,
             bound_candidate=bound,
         )
-    except Exception as e:  # keep the batch going; the row records the failure
+    except (ToricError, OSError) as e:  # bad input: the row records the failure
         return BatchRow(file=name, error=str(e).replace("\n", " "))
+    except Exception as e:  # a defect: keep the batch going, but mark the row
+        return BatchRow(file=name, error=f"internal: {type(e).__name__}: {e}".replace("\n", " "))
 
 
 def batch_classify(directory: str | Path, workers: int = 1):

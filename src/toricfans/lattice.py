@@ -32,22 +32,6 @@ def as_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
     return m
 
 
-def vec_add(a: Sequence[int], b: Sequence[int]) -> IntVector:
-    if len(a) != len(b):
-        raise ShapeError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[int], b: Sequence[int]) -> IntVector:
-    if len(a) != len(b):
-        raise ShapeError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: int, a: Sequence[int]) -> IntVector:
-    return tuple(c * x for x in a)
-
-
 def vec_sum(vectors: Iterable[Sequence[int]], dim: int) -> IntVector:
     total = [0] * dim
     for v in vectors:
@@ -174,6 +158,55 @@ def express_in_basis(basis: Sequence[Sequence[int]], p: Sequence[int]) -> IntVec
     sol = solve_integer_system(transposed, p)
     assert isinstance(sol, tuple), "unimodular system must have a unique integer solution"
     return sol
+
+
+def unimodular_inverse(m: Sequence[Sequence[int]]) -> IntMatrix:
+    """Integer inverse of a square matrix with determinant +-1.
+
+    Gauss-Jordan on [m | I] with integer row operations only: in each column,
+    Euclid's algorithm on the rows from the diagonal down leaves a single
+    nonzero pivot, and m is unimodular only if every pivot is +-1.  The
+    result is checked by check_inverse before it is returned.  Raises
+    PreconditionError on a singular or non-unimodular matrix.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ShapeError("inverse requires a square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        while True:
+            live = [r for r in range(c, n) if a[r][c]]
+            if not live:
+                raise PreconditionError("matrix is singular")
+            p = min(live, key=lambda r: abs(a[r][c]))
+            a[c], a[p] = a[p], a[c]
+            if len(live) == 1:
+                break
+            for r in range(c + 1, n):
+                if a[r][c]:
+                    q = a[r][c] // a[c][c]
+                    a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+        if a[c][c] not in (1, -1):
+            raise PreconditionError("matrix is not unimodular")
+        if a[c][c] == -1:
+            a[c] = [-x for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                q = a[r][c]
+                a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+    inverse = tuple(tuple(row[n:]) for row in a)
+    check_inverse(m, inverse)
+    return inverse
+
+
+def check_inverse(m: Sequence[Sequence[int]], inverse: Sequence[Sequence[int]]) -> None:
+    """Raise ArithmeticError unless m @ inverse is the identity.  A failure
+    is a defect of this module, not of the input."""
+    n = len(m)
+    for i, row in enumerate(m):
+        for j in range(n):
+            if sum(row[k] * inverse[k][j] for k in range(n)) != (i == j):
+                raise ArithmeticError("integer inverse failed the B @ M = I check")
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -1,6 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricfans import lattice
+from toricfans.chern import screen_2fano
 from toricfans.errors import FanValidationError, PreconditionError
 from toricfans.fan import (
     LatticeFan,
@@ -11,9 +15,50 @@ from toricfans.fan import (
     star_subdivision,
     validate,
     wall_neighbors,
+    wall_relation,
 )
 
-from fixtures import b3, fivefold, hirzebruch, p1xp1, p2, p3, pn
+from fixtures import b3, fivefold, hirzebruch, nonprojective_3fold, p1xp1, p2, p3, pn, small_zoo
+from oracles import check_wall_relation, fm_feasible
+from test_lattice import unimodular
+
+ZOO = [fan for _, fan, _, _ in small_zoo()] + [nonprojective_3fold()]
+
+
+def locate_reference(f, p):
+    """locate through lattice.express_in_basis, cone by cone."""
+    if all(x == 0 for x in p):
+        return (), ()
+    for cone in f.max_cones:
+        coords = lattice.express_in_basis([f.vector(i) for i in cone], p)
+        if all(c >= 0 for c in coords):
+            return tuple(i for i, c in zip(cone, coords) if c > 0), tuple(c for c in coords if c > 0)
+    raise AssertionError("no cone contains the point")
+
+
+def wall_relation_reference(f, wall):
+    """Wall relation by solving the wall rays' system for -(u1 + u2)."""
+    u1, u2 = wall_neighbors(f, wall)
+    cols = tuple(tuple(f.vector(w)[d] for w in wall) for d in range(f.rank))
+    sol = lattice.solve_integer_system(cols, [-(a + b) for a, b in zip(f.vector(u1), f.vector(u2))])
+    if not isinstance(sol, tuple):
+        raise FanValidationError(f"wall {f.cone_labels(wall)} has no integral relation ({sol})")
+    alpha = [0] * f.n_rays
+    alpha[u1] = alpha[u2] = 1
+    for w, c in zip(wall, sol):
+        alpha[w] = c
+    return tuple(alpha)
+
+
+def fresh(f):
+    """An equal fan with empty caches."""
+    return LatticeFan(f.rank, f.rays, f.max_cones)
+
+
+def transformed(f, g):
+    """The image of f under the lattice automorphism v -> v @ g."""
+    rays = [tuple(sum(v[k] * g[k][j] for k in range(f.rank)) for j in range(f.rank)) for v in (r.vector for r in f.rays)]
+    return LatticeFan(f.rank, rays, f.max_cones, [r.label for r in f.rays])
 
 
 class TestValidate:
@@ -84,6 +129,20 @@ class TestLocate:
         assert all(c > 0 for c in coeffs)
 
 
+    @pytest.mark.parametrize("f", ZOO)
+    def test_every_ray_sum_matches_reference(self, f):
+        for size in range(1, f.n_rays + 1):
+            for subset in combinations(range(f.n_rays), size):
+                p = lattice.vec_sum([f.vector(i) for i in subset], f.rank)
+                assert locate(f, p) == locate_reference(f, p)
+
+    @given(st.sampled_from(ZOO + [fivefold(550)]), st.data())
+    @settings(max_examples=60)
+    def test_random_points_match_reference(self, f, data):
+        p = data.draw(st.lists(st.integers(-9, 9), min_size=f.rank, max_size=f.rank))
+        assert locate(f, p) == locate_reference(f, p)
+
+
 class TestStarSubdivision:
     def test_p3_to_b3(self):
         sub = star_subdivision(p3(), (1, 2), label="b")
@@ -143,12 +202,84 @@ class TestWalls:
         with pytest.raises(PreconditionError):
             wall_neighbors(b3(), (1, 2))  # a primitive collection, not a face
 
+    @pytest.mark.parametrize("f", ZOO + [fivefold(550)])
+    def test_memoised_relation_matches_fresh(self, f):
+        for wall in faces_of_dim(f, f.rank - 1):
+            alpha = wall_relation(f, wall)
+            assert wall_relation(f, wall) is alpha  # served from the per-fan memo
+            assert wall_relation(fresh(f), wall) == alpha == wall_relation_reference(f, wall)
+            check_wall_relation(f, wall, alpha)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # the cone (r0, r1) has det 2: no inverse, so the relation is
+            # solved from the wall system directly
+            LatticeFan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+            # unimodular overlapping cones: r1 + r2 leaves the span of r0,
+            # seen as a nonzero r1 coordinate in the basis (r0, r1)
+            LatticeFan(2, [(1, 0), (0, 1), (-1, 1)], [(0, 1), (0, 2), (1, 2)]),
+        ],
+    )
+    def test_invalid_fan_keeps_solver_outcome(self, f):
+        for wall in faces_of_dim(f, 1):
+            try:
+                expected = wall_relation_reference(f, wall)
+            except FanValidationError as e:
+                with pytest.raises(FanValidationError) as got:
+                    wall_relation(f, wall)
+                assert str(got.value) == str(e)
+            else:
+                assert wall_relation(f, wall) == expected
+
+    def test_dual_basis_is_the_cone_inverse(self):
+        f = fivefold(550)
+        for cone in f.max_cones:
+            duals = f.dual_basis(cone)
+            assert f.dual_basis(cone) is duals
+            for k, m in enumerate(duals):
+                assert [lattice.dot(m, f.vector(j)) for j in cone] == [int(i == k) for i in range(f.rank)]
+
+    def test_corrupted_cached_inverse_fails_check(self):
+        # mutation test: the check that runs when an inverse is built
+        # rejects a corrupted copy of a cached one
+        f = b3()
+        cone = f.max_cones[0]
+        basis = [f.vector(i) for i in cone]
+        inverse = [list(row) for row in zip(*f.dual_basis(cone))]
+        lattice.check_inverse(basis, inverse)
+        inverse[1][2] += 1
+        with pytest.raises(ArithmeticError):
+            lattice.check_inverse(basis, inverse)
+
+
+class TestGLInvariance:
+    """Metamorphic: a unimodular change of lattice basis is an isomorphism
+    of toric varieties, so intersection numbers, wall classes and
+    projectivity must not move."""
+
+    @given(st.sampled_from(ZOO + [fivefold(550)]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_change_of_basis(self, f, data):
+        g = transformed(f, data.draw(unimodular(f.rank, steps=10)))
+        assert validate(g).ok
+        walls = faces_of_dim(f, f.rank - 1)
+        assert [wall_relation(g, w) for w in walls] == [wall_relation(f, w) for w in walls]
+        assert is_projective(g) == is_projective(f)
+        assert screen_2fano(g) == screen_2fano(f)
+
 
 class TestProjectivity:
     def test_projective_examples(self):
         assert is_projective(p2())
         assert is_projective(b3())
         assert is_projective(hirzebruch(2))
+
+    @pytest.mark.parametrize("f", ZOO + [hirzebruch(3)])
+    def test_verdict_matches_fourier_motzkin(self, f):
+        # every wall row, duplicates included, goes to the independent oracle
+        rows = [wall_relation(f, w) for w in faces_of_dim(f, f.rank - 1)]
+        assert is_projective(f) == fm_feasible(rows)
 
     def test_appendix_fivefold_projective(self):
         assert is_projective(fivefold(550))

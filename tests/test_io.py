@@ -204,6 +204,38 @@ class TestBatch:
         assert not by_name["ok.fan"].error
         assert batch_csv(rows).startswith("file,dim,")
 
+    def test_bad_input_is_a_plain_row_error(self, tmp_path, capsys):
+        from toricfans.cli import main
+
+        (tmp_path / "binary.fan").write_bytes(b"\xff\xfe\x00")
+        (tmp_path / "huge.fan").write_text("TORICFAN 1\ndim 1" + "0" * 5000 + " rays 1 maxcones 1\n")
+        (tmp_path / "folder.fan").mkdir()
+        (tmp_path / "line.fan").write_text("TORICFAN 1\ndim 1 rays 2 maxcones 2\n1\n-1\n0\n1\n")
+        rows, _ = batch_classify(tmp_path)
+        by_name = {r.file: r for r in rows}
+        assert by_name["binary.fan"].error.startswith("not UTF-8 text")  # ParseError
+        assert by_name["huge.fan"].error == "line 2: size line numbers are too large"
+        assert "directory" in by_name["folder.fan"].error  # OSError
+        assert by_name["line.fan"].error == "screening needs dimension >= 2"
+        assert not any(r.internal for r in rows)
+        assert main(["batch", str(tmp_path), "-o", str(tmp_path / "out.csv")]) == 0
+
+    def test_internal_error_is_tagged_and_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        from toricfans import fanio
+        from toricfans.cli import main
+
+        def broken(f):
+            raise IndexError("tuple index out of range")
+
+        write_fan(p2(), tmp_path / "p2.fan")
+        monkeypatch.setattr(fanio, "screen_2fano", broken)
+        row = fanio.classify_file(str(tmp_path / "p2.fan"))
+        assert row.error == "internal: IndexError: tuple index out of range" and row.internal
+        out = tmp_path / "out.csv"
+        assert main(["batch", str(tmp_path), "-o", str(out)]) == 1
+        assert out.read_text().splitlines()[1] == "p2.fan,,,,,,,,,internal: IndexError: tuple index out of range"
+        assert "internal: IndexError" in capsys.readouterr().err
+
     def test_row_without_centered_collection(self, tmp_path):
         from fixtures import nonprojective_3fold
 

@@ -139,6 +139,59 @@ class TestExpressInBasis:
         assert lattice.express_in_basis(basis, tuple(p)) == tuple(coeffs)
 
 
+class TestUnimodularInverse:
+    @given(st.data(), st.integers(1, 5))
+    @settings(max_examples=80)
+    def test_matches_rational_solve(self, data, n):
+        m = data.draw(unimodular(n, steps=10))
+        inverse = lattice.unimodular_inverse(m)
+        for j in range(n):
+            column = rational_solve(m, [int(i == j) for i in range(n)])
+            assert tuple(inverse[i][j] for i in range(n)) == tuple(column)
+
+    @given(square_matrix(3))
+    @settings(max_examples=80)
+    def test_raises_exactly_off_unimodular(self, m):
+        if lattice.determinant(m) in (1, -1):
+            inverse = lattice.unimodular_inverse(m)
+            assert all(isinstance(x, int) for row in inverse for x in row)
+        else:
+            with pytest.raises(PreconditionError):
+                lattice.unimodular_inverse(m)
+
+    def test_singular(self):
+        with pytest.raises(PreconditionError, match="singular"):
+            lattice.unimodular_inverse([(1, 2), (2, 4)])
+
+    @pytest.mark.parametrize("m", [[(2, 0), (0, 1)], [(1, 1), (1, -1)], [(1, 0, 0), (0, 3, 1), (0, 1, 1)]])
+    def test_det_two(self, m):
+        assert lattice.determinant(m) in (2, -2)
+        with pytest.raises(PreconditionError, match="not unimodular"):
+            lattice.unimodular_inverse(m)
+
+    def test_non_square(self):
+        with pytest.raises(ShapeError):
+            lattice.unimodular_inverse([(1, 0, 0), (0, 1, 0)])
+
+    def test_empty(self):
+        assert lattice.unimodular_inverse([]) == ()
+
+    @given(unimodular(3))
+    @settings(max_examples=30)
+    def test_corrupted_inverse_fails_check(self, m):
+        # mutation test: every single-entry corruption of a correct inverse
+        # is caught by the B @ M = I check that guards the per-fan cache
+        inverse = [list(row) for row in lattice.unimodular_inverse(m)]
+        lattice.check_inverse(m, inverse)
+        for i in range(3):
+            for j in range(3):
+                for delta in (1, -1):
+                    inverse[i][j] += delta
+                    with pytest.raises(ArithmeticError):
+                        lattice.check_inverse(m, inverse)
+                    inverse[i][j] -= delta
+
+
 def test_primitivity():
     assert lattice.is_primitive((0, 1, 1))
     assert not lattice.is_primitive((2, 0, 2))
