@@ -18,7 +18,7 @@ from .errors import (
     FlipError,
     PreconditionError,
 )
-from .fan import ConeRef, LatticeFan, Ray, all_faces, spans_cone
+from .fan import ConeRef, LatticeFan, Ray, ray_mask, spans_cone
 from .primitive import PrimitiveRelation, primitive_relation
 
 
@@ -57,19 +57,16 @@ def is_contractible(f: LatticeFan, rel: PrimitiveRelation) -> bool:
     disjoint from collection and focus such that <focus, tau> is a cone,
     every <collection minus one, focus, tau> must be a cone."""
     f.require_valid()
-    blocked = set(rel.collection) | set(rel.focus)
-    focus = set(rel.focus)
-    for tau in all_faces(f):
-        tset = set(tau)
-        if tset & blocked:
-            continue
-        if not spans_cone(f, focus | tset):
-            continue
-        for v in rel.collection:
-            need = (set(rel.collection) - {v}) | focus | tset
-            if not spans_cone(f, need):
-                return False
-    return True
+    faces = f.faces
+    focus = ray_mask(rel.focus)
+    blocked = ray_mask(rel.collection) | focus
+    drops = [blocked & ~(1 << v) for v in rel.collection]
+    return all(
+        need | tau in faces
+        for tau in faces
+        if not tau & blocked and focus | tau in faces
+        for need in drops
+    )
 
 
 def _drop_ray(f: LatticeFan, removed: int, cones) -> LatticeFan:

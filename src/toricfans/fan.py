@@ -2,9 +2,10 @@
 location and star subdivision.
 
 A LatticeFan stores ray generators in Z^n plus the maximal cones as sorted
-index tuples.  Cones of lower dimension are never stored; they are exactly
-the subsets of maximal cones (simpliciality), and the fans in scope are small
-enough (~20 rays) that on-demand enumeration is cheap.
+index tuples.  The cones of lower dimension are exactly the subsets of
+maximal cones (simpliciality); on its first face query a fan builds the
+bitmask set of all its cones once (``LatticeFan.faces``), and every face
+query reads it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import lattice
 from .errors import FanValidationError, PreconditionError, ToricError
 from .lattice import IntVector
+
+if TYPE_CHECKING:
+    from .primitive import PrimitiveRelation
 
 ConeRef = tuple[int, ...]
 
@@ -49,7 +53,8 @@ def _canon_cones(cones: Iterable[Iterable[int]]) -> tuple[ConeRef, ...]:
 
 
 class LatticeFan:
-    """Immutable fan; all derived data is computed lazily and cached."""
+    """Immutable fan; all derived data (face set, minimal non-faces, dual
+    bases, wall and primitive relations) is computed on first use and kept."""
 
     def __init__(
         self,
@@ -111,8 +116,41 @@ class LatticeFan:
         return {r.label: r.index for r in self.rays if r.label is not None}
 
     @cached_property
-    def cone_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(c) for c in self.max_cones)
+    def faces(self) -> set[int]:
+        """Bitmask of every cone, the zero cone included: every submask of
+        a maximal cone.  Read-only."""
+        faces = {0}
+        for cone in map(ray_mask, self.max_cones):
+            sub = cone
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & cone
+        return faces
+
+    @cached_property
+    def minimal_nonfaces(self) -> tuple[int, ...]:
+        """Bitmasks of the minimal non-faces (the primitive collections), in
+        ascending order.
+
+        A minimal non-face P is F | {v} with v its highest ray and F = P - {v}
+        a face, so extending every face by every ray above its top bit finds
+        each one exactly once."""
+        faces = self.faces
+        out = []
+        for face in faces:
+            for v in range(face.bit_length(), self.n_rays):
+                p = face | 1 << v
+                if p in faces:
+                    continue
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    if p ^ low not in faces:
+                        break
+                    rest ^= low
+                else:
+                    out.append(p)
+        return tuple(sorted(out))
 
     @cached_property
     def _dual_bases(self) -> dict[ConeRef, tuple[IntVector, ...]]:
@@ -120,6 +158,10 @@ class LatticeFan:
 
     @cached_property
     def _wall_relations(self) -> dict[ConeRef, tuple[int, ...]]:
+        return {}
+
+    @cached_property
+    def _primitive_relations(self) -> dict[ConeRef, PrimitiveRelation]:
         return {}
 
     def dual_basis(self, cone: ConeRef) -> tuple[IntVector, ...]:
@@ -148,7 +190,8 @@ class LatticeFan:
         return LatticeFan(self.rank, [r.vector for r in self.rays], self.max_cones, labels)
 
 
-def _mask(indices: Iterable[int]) -> int:
+def ray_mask(indices: Iterable[int]) -> int:
+    """Bitmask with bit i set for each ray index i."""
     m = 0
     for i in indices:
         m |= 1 << i
@@ -156,13 +199,18 @@ def _mask(indices: Iterable[int]) -> int:
 
 
 def validate(f: LatticeFan) -> ValidationReport:
-    """Structural report: ray primitivity, cone unimodularity, wall-pairing
-    completeness plus connectivity of the max-cone adjacency graph.
+    """Structural report: ray primitivity, cone unimodularity, wall pairing,
+    wall sides and connectivity of the max-cone adjacency graph.
 
-    Wall pairing (every (n-1)-face shared by exactly two maximal cones)
-    together with a connected adjacency graph characterizes completeness for
-    the simplicial unimodular fans in scope.  Never raises; downstream
-    operations reject fans whose report carries failures.
+    Every (n-1)-face must be shared by exactly two maximal cones lying on
+    opposite sides of it, and the adjacency graph must be connected.  The
+    side of the ray u at position p of a sorted cone c is the sign of
+    det(c) * (-1)^(n-1-p), read from the determinants the unimodularity
+    check computes.  Together these make the cones a pseudomanifold that
+    covers R^n with a consistent orientation; what stays unchecked is a
+    consistently oriented cover of degree >= 2 (cones winding more than
+    once around the origin).  Never raises; downstream operations reject
+    fans whose report carries failures.
     """
     failures: list[str] = []
     n = f.rank
@@ -180,6 +228,7 @@ def validate(f: LatticeFan) -> ValidationReport:
             failures.append(f"duplicate ray vector at {seen_vectors[ray.vector]} and {ray.index}")
         seen_vectors.setdefault(ray.vector, ray.index)
 
+    dets: dict[ConeRef, int] = {}
     if len(set(f.max_cones)) != len(f.max_cones):
         failures.append("duplicate maximal cones")
     if not f.max_cones:
@@ -194,27 +243,34 @@ def validate(f: LatticeFan) -> ValidationReport:
             continue
         if not rays_well_shaped:
             continue
-        det = lattice.determinant([f.vector(i) for i in cone])
-        if det not in (1, -1):
-            failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {det})")
+        dets[cone] = lattice.determinant([f.vector(i) for i in cone])
+        if dets[cone] not in (1, -1):
+            failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {dets[cone]})")
 
     if not failures:
-        wall_count: dict[ConeRef, list[ConeRef]] = {}
+        # wall -> [(owner cone, side of the owner's opposite ray)]
+        wall_count: dict[ConeRef, list[tuple[ConeRef, int]]] = {}
         for cone in f.max_cones:
+            side = dets[cone]
+            # the k-th wall drops position p = n-1-k: side det * (-1)^(n-1-p)
             for wall in combinations(cone, n - 1):
-                wall_count.setdefault(wall, []).append(cone)
+                wall_count.setdefault(wall, []).append((cone, side))
+                side = -side
         for wall, owners in sorted(wall_count.items()):
             if len(owners) != 2:
                 failures.append(
                     f"wall {f.cone_labels(wall)} appears in {len(owners)} maximal cone(s), expected 2"
                 )
+            elif owners[0][1] == owners[1][1]:
+                failures.append(
+                    f"wall {f.cone_labels(wall)} is folded: both of its maximal cones lie on one side"
+                )
         if not failures and len(f.max_cones) > 1:
             # adjacency-graph connectivity
             adj: dict[ConeRef, set[ConeRef]] = {c: set() for c in f.max_cones}
-            for owners in wall_count.values():
-                if len(owners) == 2:
-                    adj[owners[0]].add(owners[1])
-                    adj[owners[1]].add(owners[0])
+            for (c1, _), (c2, _) in wall_count.values():
+                adj[c1].add(c2)
+                adj[c2].add(c1)
             seen = {f.max_cones[0]}
             stack = [f.max_cones[0]]
             while stack:
@@ -236,14 +292,13 @@ def validate(f: LatticeFan) -> ValidationReport:
 
 def spans_cone(f: LatticeFan, s: Iterable[int]) -> bool:
     """True iff s is contained in some maximal cone (faces of a simplicial
-    fan are exactly the subsets of maximal cones).  The empty set is the
-    zero cone and always spans."""
+    fan are exactly the subsets of maximal cones), read from the fan's face
+    set.  The empty set is the zero cone and always spans."""
     idx = tuple(s)
     for i in idx:
         if i < 0 or i >= f.n_rays:
             raise IndexError(f"ray index {i} out of range")
-    m = _mask(idx)
-    return any(cm & m == m for cm in f.cone_masks)
+    return ray_mask(idx) in f.faces
 
 
 def locate(f: LatticeFan, p: Sequence[int]) -> tuple[ConeRef, tuple[int, ...]]:
@@ -307,23 +362,10 @@ def faces_of_dim(f: LatticeFan, d: int) -> list[ConeRef]:
     return sorted(faces)
 
 
-def all_faces(f: LatticeFan) -> list[ConeRef]:
-    """Every cone of the fan including the zero cone, in (dim, lex) order."""
-    out: list[ConeRef] = []
-    for d in range(f.rank + 1):
-        out.extend(faces_of_dim(f, d))
-    return out
-
-
 def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
     """The two rays completing a wall ((n-1)-cone) to its maximal cones."""
-    wset = set(wall)
-    others = []
-    for cone in f.max_cones:
-        if wset <= set(cone):
-            extra = set(cone) - wset
-            if len(extra) == 1:
-                others.append(extra.pop())
+    w = ray_mask(wall)
+    others = [u for u in range(f.n_rays) if not w >> u & 1 and w | 1 << u in f.faces]
     if len(others) != 2:
         raise PreconditionError(
             f"wall {f.cone_labels(wall)} is shared by {len(others)} maximal cones, expected 2"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .birational import BlowdownSpec, FlipSpec, contract, flip, is_contractible, multi_flip
-from .errors import ContractionError, DisjointnessError, FlipError, PipelineError, UnsupportedError
+from .errors import ContractionError, DisjointnessError, FlipError, PipelineError, PreconditionError, UnsupportedError
 from .fan import ConeRef, LatticeFan, spans_cone
 from .lattice import IntVector
 from .primitive import (
@@ -114,7 +114,8 @@ class ExceptionalDecomposition:
 
 
 def _type1_data(f: LatticeFan, centered: ConeRef):
-    """Relevant relations of shape x + a = b as (position, aux ray, rhs ray, rel)."""
+    """Relevant relations of shape x + a = b as (position, aux ray, rhs ray,
+    rel), sorted."""
     cent = list(centered)
     out = []
     for q, tag, rel in relevant_collections(f, centered):
@@ -122,7 +123,20 @@ def _type1_data(f: LatticeFan, centered: ConeRef):
             (x,) = [i for i in q if i in cent]
             (aux,) = [i for i in q if i not in cent]
             out.append((cent.index(x), aux, rel.focus[0], rel))
-    return out
+    return sorted(out, key=lambda t: t[:3])
+
+
+def _chains(ones, length: int, aux=None, used=()):
+    """Chains of ``length`` type-1 relations, each one's rhs the next one's
+    aux, with distinct positions outside ``used``, in lexicographic order of
+    ``ones``; the first aux is ``aux`` when given."""
+    if length == 0:
+        yield ()
+        return
+    for t in ones:
+        if t[0] not in used and aux in (None, t[1]):
+            for rest in _chains(ones, length - 1, t[2], used + (t[0],)):
+                yield (t,) + rest
 
 
 def detect_exceptional(f: LatticeFan, centered: ConeRef) -> ExceptionalDecomposition | None:
@@ -132,68 +146,38 @@ def detect_exceptional(f: LatticeFan, centered: ConeRef) -> ExceptionalDecomposi
     x's; the result is normalized so the first relation carries the
     smallest-index x.  m=3: either a 4-cycle of order-2 relations, or an
     order-3 relation x_i + x_j + a = b closed up by two order-2 relations.
+    Cycles are closed chains of m+1 type-1 relations; the first in
+    lexicographic order is reported.
     """
     cent = require_centered(f, centered)
     m = len(cent) - 1
     if m not in (2, 3):
         raise UnsupportedError(f"exceptional detection implemented for m in {{2,3}}, got m={m}")
     ones = _type1_data(f, cent)
-
+    cycle = next((c for c in _chains(ones, m + 1) if c[-1][2] == c[0][1]), None)
     if m == 2:
-        for a0 in sorted(ones, key=lambda t: t[:3]):
-            for a1 in sorted(ones, key=lambda t: t[:3]):
-                for a2 in sorted(ones, key=lambda t: t[:3]):
-                    pos = (a0[0], a1[0], a2[0])
-                    if len(set(pos)) != 3:
-                        continue
-                    if a0[2] == a1[1] and a1[2] == a2[1] and a2[2] == a0[1]:
-                        cycle = [a0, a1, a2]
-                        start = min(range(3), key=lambda t: cycle[t][0])
-                        cycle = cycle[start:] + cycle[:start]
-                        return ExceptionalDecomposition(
-                            pattern="cyclic3",
-                            relations=tuple(c[3] for c in cycle),
-                            positions=tuple(c[0] for c in cycle),
-                        )
-        return None
-
-    # m == 3
-    for a0 in sorted(ones, key=lambda t: t[:3]):
-        for a1 in sorted(ones, key=lambda t: t[:3]):
-            for a2 in sorted(ones, key=lambda t: t[:3]):
-                for a3 in sorted(ones, key=lambda t: t[:3]):
-                    pos = (a0[0], a1[0], a2[0], a3[0])
-                    if len(set(pos)) != 4:
-                        continue
-                    if (
-                        a0[2] == a1[1]
-                        and a1[2] == a2[1]
-                        and a2[2] == a3[1]
-                        and a3[2] == a0[1]
-                    ):
-                        return ExceptionalDecomposition(
-                            pattern="cyclic4",
-                            relations=(a0[3], a1[3], a2[3], a3[3]),
-                            positions=pos,
-                        )
-    cent_list = list(cent)
+        if cycle is None:
+            return None
+        start = min(range(3), key=lambda t: cycle[t][0])
+        cycle = cycle[start:] + cycle[:start]
+    if cycle is not None:
+        return ExceptionalDecomposition(
+            pattern=f"cyclic{m + 1}",
+            relations=tuple(c[3] for c in cycle),
+            positions=tuple(c[0] for c in cycle),
+        )
     for q, tag, rel in relevant_collections(f, cent):
         if tag != "type4":
             continue
-        xs = [cent_list.index(i) for i in q if i in cent_list]
-        (aux,) = [i for i in q if i not in cent_list]
-        b = rel.focus[0]
-        for t1 in sorted(ones, key=lambda t: t[:3]):
-            for t2 in sorted(ones, key=lambda t: t[:3]):
-                pos = tuple(xs) + (t1[0], t2[0])
-                if len(set(pos)) != 4:
-                    continue
-                if t1[1] == b and t2[1] == t1[2] and t2[2] == aux:
-                    return ExceptionalDecomposition(
-                        pattern="pair4",
-                        relations=(rel, t1[3], t2[3]),
-                        positions=pos,
-                    )
+        xs = tuple(cent.index(i) for i in q if i in cent)
+        (aux,) = [i for i in q if i not in cent]
+        for t1, t2 in _chains(ones, 2, rel.focus[0], xs):
+            if t2[2] == aux:
+                return ExceptionalDecomposition(
+                    pattern="pair4",
+                    relations=(rel, t1[3], t2[3]),
+                    positions=xs + (t1[0], t2[0]),
+                )
     return None
 
 
@@ -244,10 +228,10 @@ def _contract_step(cur: LatticeFan, rel: PrimitiveRelation, x_vectors):
         if frozenset({xv, b_vec}) in rpc_before:
             allowed_new.add(frozenset({xv, x_vectors[pos], a_vec}))
 
-    if not is_contractible(cur, rel):
-        raise PipelineError("contractibility", f"{rel.describe(cur)} is not contractible")
     try:
         new = contract(cur, BlowdownSpec(rel))
+    except PreconditionError as e:  # contract's own contractibility test
+        raise PipelineError("contractibility", str(e))
     except ContractionError as e:
         raise PipelineError("contraction", str(e))
 
@@ -338,8 +322,7 @@ def run_step1(
             if budget == 0:
                 raise PipelineError("blowdown-budget", "more than three order-2 relevant relations")
             budget -= 1
-            # deterministic order: ascending index of the auxiliary ray a
-            ones.sort(key=lambda t: t[:3])
+            # deterministic order: the first by (position, aux ray, rhs ray)
             pos, aux, b, rel = ones[0]
             a_label = cur.ray_label(aux)
             data = _relation_data(cur, rel)

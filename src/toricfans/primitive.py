@@ -4,7 +4,6 @@ opponents, the bundle locus and relevant-collection classification."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import lattice
 from .errors import PreconditionError
@@ -58,39 +57,10 @@ class PrimitiveRelation:
         return f"{lhs} = {rhs}"
 
 
-@lru_cache(maxsize=4096)
-def _pc_masks(cone_masks: tuple[int, ...], n_rays: int) -> tuple[int, ...]:
-    # A minimal non-face P is F | {v} with v its highest ray and F = P - {v}
-    # a face, so extending every face by every ray above its top bit finds
-    # each one exactly once.
-    faces = {0}
-    for cone in cone_masks:
-        sub = cone
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & cone
-    out = []
-    for face in faces:
-        for v in range(face.bit_length(), n_rays):
-            p = face | 1 << v
-            if p in faces:
-                continue
-            rest = face
-            while rest:
-                low = rest & -rest
-                if p ^ low not in faces:
-                    break
-                rest ^= low
-            else:
-                out.append(p)
-    return tuple(sorted(out))
-
-
 def primitive_collections(f: LatticeFan) -> list[ConeRef]:
     """All minimal non-faces, sorted by (size, indices)."""
     f.require_valid()
-    masks = _pc_masks(f.cone_masks, f.n_rays)
-    pcs = [tuple(i for i in range(f.n_rays) if m >> i & 1) for m in masks]
+    pcs = [tuple(i for i in range(f.n_rays) if m >> i & 1) for m in f.minimal_nonfaces]
     return sorted(pcs, key=lambda p: (len(p), p))
 
 
@@ -103,8 +73,12 @@ def is_primitive_collection(f: LatticeFan, p: ConeRef) -> bool:
 
 def primitive_relation(f: LatticeFan, p: ConeRef) -> PrimitiveRelation:
     """Relation of a primitive collection: locate the generator sum, read off
-    the focus cone and its positive coefficients."""
+    the focus cone and its positive coefficients.  Memoised per collection
+    on the fan."""
     s = tuple(sorted(set(p)))
+    rel = f._primitive_relations.get(s)
+    if rel is not None:
+        return rel
     if not is_primitive_collection(f, s):
         raise PreconditionError(f"{f.cone_labels(s)} is not a primitive collection")
     total = lattice.vec_sum([f.vector(i) for i in s], f.rank)
@@ -115,13 +89,14 @@ def primitive_relation(f: LatticeFan, p: ConeRef) -> PrimitiveRelation:
         alpha[i] = 1
     for i, mu in zip(focus, coeffs):
         alpha[i] = -mu
-    return PrimitiveRelation(
+    rel = f._primitive_relations[s] = PrimitiveRelation(
         collection=s,
         focus=focus,
         coefficients=coeffs,
         degree=len(s) - sum(coeffs),
         alpha=tuple(alpha),
     )
+    return rel
 
 
 def primitive_relations(f: LatticeFan) -> list[PrimitiveRelation]:

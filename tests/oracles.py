@@ -4,7 +4,9 @@ The blowdown/blowup transfer rules for primitive collections are implemented
 here literally, separate from the package (which always re-enumerates
 collections from scratch on the surgered fan); the two routes are compared in
 the surgery tests.  A brute-force subset search is the reference for the
-package's face-extension enumerator of minimal non-faces.
+package's face-extension enumerator of minimal non-faces, and scans over the
+maximal cones are the references for the face queries that read the fan's
+face bitmask set.
 """
 
 from fractions import Fraction
@@ -56,7 +58,7 @@ def pc_after_blowup(pcs, tbar, z):
 def minimal_nonfaces_brute_force(cone_masks, n_rays):
     """Minimal non-face bitmasks of the complex whose facets are cone_masks,
     by increasing-size search over all ray subsets with superset pruning.
-    Exponential in n_rays; ascending order, like ``primitive._pc_masks``."""
+    Exponential in n_rays; ascending order, like ``LatticeFan.minimal_nonfaces``."""
     from itertools import combinations
 
     found = []
@@ -149,8 +151,6 @@ def check_wall_relation(f, wall, alpha):
     properties: it is supported on the wall and the two opposite rays, takes
     value +1 on the opposite rays, and the weighted ray sum vanishes.  These
     equations determine alpha uniquely because wall rays are independent."""
-    from toricfans.fan import wall_neighbors
-
     u1, u2 = wall_neighbors(f, wall)
     assert alpha[u1] == 1 and alpha[u2] == 1
     support = {i for i, c in enumerate(alpha) if c != 0}
@@ -160,3 +160,34 @@ def check_wall_relation(f, wall, alpha):
         for d, x in enumerate(f.vector(i)):
             total[d] += c * x
     assert all(t == 0 for t in total), f"wall relation does not sum to zero: {total}"
+
+
+def spans_cone(f, s):
+    """Whether the ray set s lies in some maximal cone, by scanning them."""
+    s = set(s)
+    return any(s <= set(cone) for cone in f.max_cones)
+
+
+def wall_neighbors(f, wall):
+    """The rays completing a wall to a maximal cone, by scanning the cones;
+    raises AssertionError unless there are exactly two."""
+    wset = set(wall)
+    others = [(set(cone) - wset).pop() for cone in f.max_cones if wset <= set(cone) and len(cone) == len(wset) + 1]
+    assert len(others) == 2, f"wall {wall} lies in {len(others)} maximal cones"
+    return tuple(sorted(others))
+
+
+def is_contractible(f, rel):
+    """Casagrande's criterion on index sets: for every cone tau disjoint from
+    collection and focus with <focus, tau> a cone, every <collection minus
+    one, focus, tau> is a cone."""
+    from itertools import combinations
+
+    collection, focus = set(rel.collection), set(rel.focus)
+    faces = {frozenset(sub) for cone in f.max_cones for d in range(len(cone) + 1) for sub in combinations(cone, d)}
+    for tau in faces:
+        if tau & (collection | focus) or not spans_cone(f, focus | tau):
+            continue
+        if not all(spans_cone(f, (collection - {v}) | focus | tau) for v in collection):
+            return False
+    return True

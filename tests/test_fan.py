@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricfans import lattice
+from toricfans.birational import is_contractible
 from toricfans.chern import screen_2fano
 from toricfans.errors import FanValidationError, PreconditionError
 from toricfans.fan import (
@@ -17,9 +18,12 @@ from toricfans.fan import (
     wall_neighbors,
     wall_relation,
 )
+from toricfans.primitive import primitive_relations
 
+import oracles
 from fixtures import b3, fivefold, hirzebruch, nonprojective_3fold, p1xp1, p2, p3, pn, small_zoo
 from oracles import check_wall_relation, fm_feasible
+from test_enumerator import blown_up_fans
 from test_lattice import unimodular
 
 ZOO = [fan for _, fan, _, _ in small_zoo()] + [nonprojective_3fold()]
@@ -85,6 +89,20 @@ class TestValidate:
         f = LatticeFan(2, [(1, 0), (1, 0), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
         assert not validate(f).ok
 
+    def test_folded_walls(self):
+        # cones (r0, r1) and (r0, r2) overlap: every wall is shared by two
+        # cones and the adjacency graph is connected, but across walls r0
+        # and r2 both cones lie on the same side
+        f = LatticeFan(2, [(1, 0), (0, 1), (-1, 1)], [(0, 1), (0, 2), (1, 2)])
+        report = validate(f)
+        assert not report.ok
+        assert report.failures == (
+            "wall ('r0',) is folded: both of its maximal cones lie on one side",
+            "wall ('r2',) is folded: both of its maximal cones lie on one side",
+        )
+        with pytest.raises(FanValidationError, match="folded"):
+            locate(f, (1, 1))
+
     def test_downstream_rejects_invalid(self):
         f = LatticeFan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
         with pytest.raises(FanValidationError):
@@ -104,6 +122,27 @@ class TestSpansCone:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             spans_cone(p2(), {7})
+
+
+class TestFaceIndex:
+    """Face queries on the fan's face bitmask set against scans over the
+    maximal cones (tests/oracles.py)."""
+
+    @given(blown_up_fans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scans(self, f):
+        for size in range(f.rank + 2):
+            for s in combinations(range(f.n_rays), size):
+                assert spans_cone(f, s) == oracles.spans_cone(f, s), s
+        for rel in primitive_relations(f):
+            assert is_contractible(f, rel) == oracles.is_contractible(f, rel), rel
+        for wall in faces_of_dim(f, f.rank - 1):
+            assert wall_neighbors(f, wall) == oracles.wall_neighbors(f, wall)
+
+    def test_faces_are_the_cones(self):
+        f = b3()
+        cones = {sub for c in f.max_cones for d in range(f.rank + 1) for sub in combinations(c, d)}
+        assert f.faces == {sum(1 << i for i in c) for c in cones}
 
 
 class TestLocate:

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toricfans import birational
 from toricfans.birational import BlowdownSpec, contract, blowup
+from toricfans.fan import LatticeFan
 from toricfans.errors import PipelineError, PreconditionError, UnsupportedError
 from toricfans.pipeline import (
     detect_exceptional,
@@ -25,6 +28,7 @@ from fixtures import (
     fivefold,
     flip_fixture_4d,
     flip_fixture_6d,
+    m3_exceptional,
     p2,
     rel_of,
     sixfold,
@@ -45,6 +49,15 @@ class TestDetectExceptional:
 
     def test_b3_none(self):
         assert detect_exceptional(b3(), B3_CENTERED) is None
+
+    def test_chains_need_distinct_positions(self):
+        from toricfans.pipeline import _chains
+
+        # (position, aux, rhs, relation): 0: x0 + a = b, 1: x0 + b = c,
+        # 2: x1 + c = a, 3: x2 + b = c; only 0 -> 3 -> 2 uses three x's
+        ones = [(0, 10, 11, 0), (0, 11, 12, 1), (1, 12, 10, 2), (2, 11, 12, 3)]
+        assert [tuple(t[3] for t in c) for c in _chains(ones, 3)] == [(0, 3, 2), (2, 0, 3), (3, 2, 0)]
+        assert [tuple(t[3] for t in c) for c in _chains(ones, 2, aux=12, used=(2,))] == [(2, 0)]
 
     def test_sixfold_cycle(self):
         f = sixfold(276)
@@ -82,7 +95,58 @@ class TestDetectExceptional:
         assert shapes == [2, 2, 3]
 
 
+def relabelled(f, order):
+    """f with ray i moved to index order[i]."""
+    rays = [None] * f.n_rays
+    for i, ray in enumerate(f.rays):
+        rays[order[i]] = ray
+    return LatticeFan(f.rank, rays, [[order[i] for i in c] for c in f.max_cones])
+
+
+def labelled(f, rel):
+    """A relation as (collection labels, focus labels with coefficients),
+    each sorted by label."""
+    lhs = sorted(f.ray_label(i) for i in rel.collection)
+    return lhs, sorted((f.ray_label(i), mu) for i, mu in zip(rel.focus, rel.coefficients))
+
+
+EXCEPTIONAL_FIXTURES = [
+    (fivefold(550), ("x0", "x1", "x2")),
+    (m3_exceptional("cyclic4"), ("x0", "x1", "x2", "x3")),
+    (m3_exceptional("pair4"), ("x0", "x1", "x2", "x3")),
+]
+
+
+@pytest.mark.parametrize("f,labels", EXCEPTIONAL_FIXTURES)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_exceptional_pattern_survives_relabelling(f, labels, data):
+    # a random ray permutation that keeps the centered rays in their order,
+    # so that positions inside the centered collection keep their meaning
+    order = data.draw(st.permutations(range(f.n_rays)))
+    xs = centered_of(f, labels)
+    for i, target in zip(xs, sorted(order[i] for i in xs)):
+        order[i] = target
+    g = relabelled(f, order)
+    want = detect_exceptional(f, xs)
+    got = detect_exceptional(g, centered_of(g, labels))
+    assert got.pattern == want.pattern
+    assert got.positions == want.positions
+    # the same relations in the same order; describe() lists terms by index
+    assert [labelled(g, r) for r in got.relations] == [labelled(f, r) for r in want.relations]
+
+
 class TestRunStep1:
+    def test_non_contractible_blowdown_keeps_its_kind(self, monkeypatch):
+        # no corpus fan reaches this branch: contract's own contractibility
+        # precondition surfaces as the pipeline's "contractibility" kind
+        monkeypatch.setattr(birational, "is_contractible", lambda f, rel: False)
+        f = fivefold(550)
+        with pytest.raises(PipelineError) as err:
+            run_step1(f, centered_of(f, ("x0", "x1", "x2")))
+        assert err.value.kind == "contractibility"
+        assert "is not contractible" in str(err.value)
+
     def test_b3_identity(self):
         f = b3()
         y, log = run_step1(f, B3_CENTERED)

@@ -31,6 +31,7 @@ from fixtures import (
     rel_of,
     small_zoo,
 )
+from test_fan import fresh
 
 
 class TestCollections:
@@ -79,6 +80,16 @@ class TestRelations:
     def test_rejects_non_collection(self):
         with pytest.raises(PreconditionError):
             primitive_relation(p2(), (0, 1))
+
+    @pytest.mark.parametrize("f", [b3(), fivefold(550), fan_2268()])
+    def test_memoised_per_fan(self, f):
+        for p in primitive_collections(f):
+            rel = primitive_relation(f, p)
+            assert primitive_relation(f, reversed(p)) is rel  # served from the per-fan memo
+            assert primitive_relation(fresh(f), p) == rel
+        assert [r.collection for r in primitive_relations(f)] == primitive_collections(f)
+        with pytest.raises(PreconditionError):  # a non-collection is never memoised
+            primitive_relation(f, f.max_cones[0])
 
     @pytest.mark.parametrize("name,fan,_,__", small_zoo())
     def test_invariants(self, name, fan, _, __):
