@@ -1,5 +1,6 @@
 """Toric intersection theory on smooth complete fans: curve/divisor pairings,
-divisor-times-orbit reduction, ch2 against torus-invariant surfaces, and the
+divisor-times-orbit reduction, ch2 against torus-invariant surfaces (one walk
+around each surface's link, read from the memoised wall relations), and the
 numeric screens.
 
 All arithmetic is exact: big-integer curve classes and Fraction-valued cycle
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice
-from .errors import PreconditionError
+from .errors import FanValidationError, PreconditionError
 from .fan import ConeRef, LatticeFan, faces_of_dim, spans_cone, wall_relation
 from .primitive import CurveClass
 
@@ -91,20 +92,39 @@ def divisor_dot_orbit(f: LatticeFan, ray: int, orbit: ConeRef) -> CycleExpressio
 
 
 def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
-    """ch2(X) . V(tau) for an (n-2)-cone tau, via
-    ch2 = (1/2) sum_v V(v)^2: each V(v).V(tau) is reduced to a curve
-    expression and paired with V(v) again through wall curve classes."""
+    """ch2(X) . V(tau) for an (n-2)-cone tau, via ch2 = (1/2) sum_v V(v)^2
+    restricted to the smooth toric surface S = V(tau).
+
+    One walk around the link of tau visits its rays w_0 .. w_{k-1} in cyclic
+    order; the wall relation a_i of tau + w_i gives C_i = V(tau + w_i) on S
+    its self-intersection a_i[w_i], and gives V(v).C_i = a_i[v] for v in tau.
+    Writing V(t)|_S = sum d_i C_i with d_0 = d_1 = 0 (linear equivalence),
+    the toric surface relation d_{i-1} + d_{i+1} + a_i[w_i] d_i = a_i[t]
+    fixes the rest, and V(t)|_S^2 = sum d_i a_i[t].  Integer throughout."""
     tau = tuple(sorted(tau))
     if len(tau) != f.rank - 2:
         raise PreconditionError(f"invariant surfaces are cut by (n-2)-cones, got dim {len(tau)}")
     if not spans_cone(f, tau):
         raise PreconditionError(f"{f.cone_labels(tau)} does not span a cone")
-    total = Fraction(0)
-    for v in range(f.n_rays):
-        curve_expr = divisor_dot_orbit(f, v, tau)
-        for wall, coeff in curve_expr:
-            total += coeff * wall_curve_class(f, wall).alpha[v]
-    return total / 2
+    f.require_valid()
+    start = next(w for w in range(f.n_rays) if w not in tau and spans_cone(f, tau + (w,)))
+    link, rels = [], []
+    prev, cur = None, start
+    while not link or cur != start:
+        if len(link) == f.n_rays:
+            raise FanValidationError(f"the link of {f.cone_labels(tau)} does not close")
+        wall = tuple(sorted(tau + (cur,)))
+        a = wall_relation(f, wall)
+        link.append(cur)
+        rels.append(a)
+        prev, cur = cur, next(u for u, c in enumerate(a) if c and u != prev and u not in wall)
+    total = sum(a[w] for w, a in zip(link, rels))
+    for t in tau:
+        d = [0, 0]
+        for i in range(1, len(link) - 1):
+            d.append(rels[i][t] - d[i - 1] - rels[i][link[i]] * d[i])
+        total += sum(di * a[t] for di, a in zip(d, rels))
+    return Fraction(total, 2)
 
 
 def anticanonical_degree(f: LatticeFan, curve: CurveClass) -> int:

@@ -17,7 +17,7 @@ from . import fanio
 from .chern import screen_2fano
 from .errors import PreconditionError, ToricError
 from .fan import LatticeFan, is_projective
-from .pipeline import detect_exceptional, diagnose_m3, run_step1, verify_output
+from .pipeline import detect_exceptional, diagnose_m3, run_step1
 from .primitive import (
     centered_collections,
     is_fano,
@@ -97,8 +97,7 @@ def _cmd_pipeline(args) -> int:
     for step in log.steps:
         rels = "; ".join(r.text for r in step.relations)
         print(f"  {step.kind} (i={step.i}, j={step.j}): {rels}")
-    report = verify_output(y, tuple(y.vector_index[v] for v in log.x_vectors))
-    print(report)
+    print(log.report)
     print(f"output: rays {y.n_rays}, maxcones {len(y.max_cones)}, fano {is_fano(y)}, "
           f"projective {is_projective(y)}")
     cert = certmod.build_certificate(log, fiber_dim=2, cut_out=args.cut_out)

@@ -79,6 +79,7 @@ class TransformLog:
     x_vectors: tuple[IntVector, ...]
     steps: tuple[TransformStep, ...]
     final: LatticeFan
+    report: VerificationReport  # verify_output on the final fan, passed
 
 
 @dataclass(frozen=True)
@@ -155,17 +156,14 @@ def detect_exceptional(f: LatticeFan, centered: ConeRef) -> ExceptionalDecomposi
         raise UnsupportedError(f"exceptional detection implemented for m in {{2,3}}, got m={m}")
     ones = _type1_data(f, cent)
     cycle = next((c for c in _chains(ones, m + 1) if c[-1][2] == c[0][1]), None)
-    if m == 2:
-        if cycle is None:
-            return None
-        start = min(range(3), key=lambda t: cycle[t][0])
-        cycle = cycle[start:] + cycle[:start]
     if cycle is not None:
         return ExceptionalDecomposition(
             pattern=f"cyclic{m + 1}",
             relations=tuple(c[3] for c in cycle),
             positions=tuple(c[0] for c in cycle),
         )
+    if m == 2:
+        return None
     for q, tag, rel in relevant_collections(f, cent):
         if tag != "type4":
             continue
@@ -352,8 +350,6 @@ def run_step1(
                 "type",
                 f"relevant relation {rel.describe(cur)} of shape {tag} survived the blowdown phase",
             )
-        if not is_contractible(cur, rel):
-            raise PipelineError("contractibility", f"{rel.describe(cur)} is not contractible")
         xs = sorted(list(cent_now).index(i) for i in q if i in cent_now)
         (aux,) = [i for i in q if i not in cent_now]
         specs.append(FlipSpec(rel))
@@ -375,6 +371,8 @@ def run_step1(
             cur = multi_flip(cur, specs)
         except DisjointnessError as e:
             raise PipelineError("disjointness", str(e))
+        except PreconditionError as e:  # flip's own contractibility test
+            raise PipelineError("contractibility", str(e))
         except FlipError as e:
             raise PipelineError("flip", str(e))
         if tuple(r.vector for r in cur.rays) != before_rays:
@@ -391,6 +389,7 @@ def run_step1(
         x_vectors=x_vectors,
         steps=tuple(steps),
         final=cur,
+        report=report,
     )
     return cur, log
 

@@ -6,7 +6,8 @@ collections from scratch on the surgered fan); the two routes are compared in
 the surgery tests.  A brute-force subset search is the reference for the
 package's face-extension enumerator of minimal non-faces, and scans over the
 maximal cones are the references for the face queries that read the fan's
-face bitmask set.
+face bitmask set.  The divisor-times-orbit reduction is the reference for the
+link walk that computes ch2 against invariant surfaces.
 """
 
 from fractions import Fraction
@@ -191,3 +192,17 @@ def is_contractible(f, rel):
         if not all(spans_cone(f, (collection - {v}) | focus | tau) for v in collection):
             return False
     return True
+
+
+def ch2_by_orbit_reduction(f, tau):
+    """ch2(X) . V(tau) by the composed route ch2 = (1/2) sum_v V(v)^2: each
+    V(v).V(tau) is reduced to a curve expression and paired with V(v) again
+    through wall curve classes."""
+    from toricfans.chern import divisor_dot_orbit, wall_curve_class
+
+    total = Fraction(0)
+    for v in range(f.n_rays):
+        curve_expr = divisor_dot_orbit(f, v, tuple(sorted(tau)))
+        for wall, coeff in curve_expr:
+            total += coeff * wall_curve_class(f, wall).alpha[v]
+    return total / 2

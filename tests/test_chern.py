@@ -2,7 +2,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
 
+from toricfans import chern
 from toricfans.chern import (
     anticanonical_degree,
     candidate_bound_predicate,
@@ -12,15 +14,16 @@ from toricfans.chern import (
     screen_2fano,
     wall_curve_class,
 )
-from toricfans.errors import PreconditionError
-from toricfans.fan import faces_of_dim
+from toricfans.errors import FanValidationError, PreconditionError
+from toricfans.fan import LatticeFan, faces_of_dim, star_subdivision
 from toricfans.fanio import build_bundle_over_p1
 from toricfans.lattice import solve_integer_system
 from toricfans.primitive import primitive_relation, primitive_relations
 from toricfans.certificate import base_value
 
-from fixtures import b3, bl_pt_p2, fivefold, p1xp1, p2, p3, pn, small_zoo
-from oracles import check_wall_relation
+from fixtures import b3, bl_pt_p2, fivefold, p1xp1, p2, p3, pn, product_fan, sixfold, small_zoo
+from oracles import ch2_by_orbit_reduction, check_wall_relation
+from test_enumerator import blown_up_fans
 
 
 class TestPairings:
@@ -136,6 +139,71 @@ class TestCh2:
     def test_dimension_check(self):
         with pytest.raises(PreconditionError):
             ch2_dot_invariant_surface(p3(), ())
+
+
+def blown_up_p2(k: int):
+    """P2 blown up at torus-fixed points until it has k rays."""
+    f = p2()
+    while f.n_rays < k:
+        f = star_subdivision(f, f.max_cones[0])
+    return f
+
+
+def _assert_matches_orbit_reduction(fan):
+    for tau in faces_of_dim(fan, fan.rank - 2):
+        assert ch2_dot_invariant_surface(fan, tau) == ch2_by_orbit_reduction(fan, tau), tau
+
+
+LINK_FANS = [(name, fan) for name, fan, _, _ in small_zoo()] + [
+    ("fivefold550", fivefold(550)),
+    ("sixfold333", sixfold(333)),
+    ("BlP2-8", blown_up_p2(8)),
+    ("BlP2-8xP1", product_fan(blown_up_p2(8), pn(1))),
+]
+
+
+class TestLinkWalk:
+    """The walk around the link of tau against the divisor-times-orbit
+    reduction of ``oracles.ch2_by_orbit_reduction``."""
+
+    @pytest.mark.parametrize("name,fan", LINK_FANS, ids=[n for n, _ in LINK_FANS])
+    def test_matches_orbit_reduction(self, name, fan):
+        _assert_matches_orbit_reduction(fan)
+
+    @given(blown_up_fans())
+    @settings(max_examples=30, deadline=None)
+    def test_blowup_sequences_match_orbit_reduction(self, fan):
+        _assert_matches_orbit_reduction(fan)
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_surface_closed_form(self, k):
+        # a smooth complete toric surface with k rays has sum C_i^2 = 12 - 3k,
+        # so ch2 = (12 - 3k)/2; times P1, the fibre V(t) over a P1 ray t is
+        # that surface with trivial normal bundle
+        f = blown_up_p2(k)
+        assert ch2_dot_invariant_surface(f, ()) == Fraction(12 - 3 * k, 2)
+        g = product_fan(f, pn(1))  # ray k is the first ray of the P1 factor
+        assert ch2_dot_invariant_surface(g, (k,)) == Fraction(12 - 3 * k, 2)
+
+    def test_walk_that_cannot_close_raises(self, monkeypatch):
+        # a hexagon whose memoised relations on walls r1 and r3 are corrupted
+        # so that the walk from r0 enters the loop r1 -> r2 -> r3 -> r1
+        rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+        f = LatticeFan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+        f.require_valid()
+        f._wall_relations[(1,)] = (0, 0, 1, 1, 0, 0)
+        f._wall_relations[(3,)] = (0, 1, 1, 0, 0, 0)
+        # count the steps, so that a walk without its bound fails, not hangs
+        real, steps = chern.wall_relation, []
+
+        def counted(fan, wall):
+            steps.append(wall)
+            assert len(steps) <= 10 * fan.n_rays, "the walk did not stop"
+            return real(fan, wall)
+
+        monkeypatch.setattr(chern, "wall_relation", counted)
+        with pytest.raises(FanValidationError, match="does not close"):
+            ch2_dot_invariant_surface(f, ())
 
 
 class TestDegrees:

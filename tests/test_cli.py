@@ -4,6 +4,7 @@ import pytest
 
 from toricfans.cli import main
 from toricfans.fanio import write_fan
+from toricfans.pipeline import run_step1, verify_output
 
 from fixtures import b3, fivefold, fan_2268, flip_fixture_4d, p2, small_zoo
 
@@ -81,6 +82,22 @@ class TestPipeline:
     def test_centered_by_indices(self, fan_file, capsys):
         _, xp, _ = flip_fixture_4d()
         assert main(["pipeline", fan_file(xp), "--centered", "0,1,2"]) == 0
+
+    @pytest.mark.parametrize(
+        "fan,labels", [(b3(), "v1,v0,b"), (fivefold(550), "x0,x1,x2")], ids=["B3", "fivefold550"]
+    )
+    def test_prints_the_verification_report(self, fan_file, capsys, fan, labels):
+        # the report printed is run_step1's own, and reads exactly as a
+        # fresh verify_output on the output fan
+        assert main(["pipeline", fan_file(fan), "--centered", labels]) == 0
+        out = capsys.readouterr().out
+        cent = tuple(sorted(fan.label_index[x] for x in labels.split(",")))
+        y, log = run_step1(fan, cent)
+        report = str(verify_output(y, tuple(y.vector_index[v] for v in log.x_vectors)))
+        lines = out.splitlines()
+        start = 1 + len(log.steps)
+        assert "\n".join(lines[start:start + len(report.splitlines())]) == report
+        assert lines[start + len(report.splitlines())].startswith("output: ")
 
     def test_unknown_centered_ray(self, fan_file):
         assert main(["pipeline", fan_file(b3()), "--centered", "nope,x1,x2"]) == 1

@@ -132,6 +132,10 @@ def test_exceptional_pattern_survives_relabelling(f, labels, data):
     got = detect_exceptional(g, centered_of(g, labels))
     assert got.pattern == want.pattern
     assert got.positions == want.positions
+    if got.pattern == "cyclic3":
+        # the first closed chain in sorted order already starts at its
+        # smallest position, with no rotation
+        assert got.positions[0] == min(got.positions)
     # the same relations in the same order; describe() lists terms by index
     assert [labelled(g, r) for r in got.relations] == [labelled(f, r) for r in want.relations]
 
@@ -146,6 +150,31 @@ class TestRunStep1:
             run_step1(f, centered_of(f, ("x0", "x1", "x2")))
         assert err.value.kind == "contractibility"
         assert "is not contractible" in str(err.value)
+
+    def test_later_flip_not_contractible_keeps_its_kind(self, monkeypatch):
+        # the second flip's relation stops being contractible once the first
+        # flip has been made: flip's own precondition, raised inside
+        # multi_flip, surfaces as the pipeline's "contractibility" kind
+        _, xp, cent = flip_fixture_6d()
+        second = sorted(relevant_collections(xp, cent), key=lambda t: t[0])[1][2]
+        real = birational.is_contractible
+
+        def patched(f, rel):
+            if f != xp and rel.alpha == second.alpha:
+                return False
+            return real(f, rel)
+
+        monkeypatch.setattr(birational, "is_contractible", patched)
+        with pytest.raises(PipelineError) as err:
+            run_step1(xp, cent)
+        assert err.value.kind == "contractibility"
+        assert "is not contractible" in str(err.value)
+
+    def test_log_keeps_the_passed_report(self):
+        _, xp, cent = flip_fixture_6d()
+        out, log = run_step1(xp, cent)
+        assert log.report.ok
+        assert log.report == verify_output(out, tuple(out.vector_index[v] for v in log.x_vectors))
 
     def test_b3_identity(self):
         f = b3()
