@@ -3,9 +3,13 @@ location and star subdivision.
 
 A LatticeFan stores ray generators in Z^n plus the maximal cones as sorted
 index tuples.  The cones of lower dimension are exactly the subsets of
-maximal cones (simpliciality); on its first face query a fan builds the
-bitmask set of all its cones once (``LatticeFan.faces``), and every face
-query reads it.
+maximal cones (simpliciality).  The face index is, per ray, the bitmask of
+the maximal cones (by position) that contain it (``LatticeFan.ray_cones``):
+a ray set is a cone iff the AND of its masks is nonzero.  Point queries
+(``spans_cone``, ``wall_neighbors``) read the masks; the set of all faces
+and the minimal non-faces come from one depth-first walk over the faces
+(``LatticeFan.faces``, ``LatticeFan.minimal_nonfaces``), whose cost grows
+with faces x rays.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ def _canon_cones(cones: Iterable[Iterable[int]]) -> tuple[ConeRef, ...]:
 
 
 class LatticeFan:
-    """Immutable fan; all derived data (face set, minimal non-faces, dual
-    bases, wall and primitive relations) is computed on first use and kept."""
+    """Immutable fan; all derived data (ray cone masks, face set, minimal
+    non-faces, dual bases, wall and primitive relations) is computed on
+    first use and kept."""
 
     def __init__(
         self,
@@ -116,41 +121,64 @@ class LatticeFan:
         return {r.label: r.index for r in self.rays if r.label is not None}
 
     @cached_property
-    def faces(self) -> set[int]:
-        """Bitmask of every cone, the zero cone included: every submask of
-        a maximal cone.  Read-only."""
-        faces = {0}
-        for cone in map(ray_mask, self.max_cones):
-            sub = cone
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & cone
-        return faces
+    def ray_cones(self) -> dict[int, int]:
+        """Per ray index, the bitmask of the maximal cones (bit k for
+        ``max_cones[k]``) that contain it; an index in no cone has no entry.
+        Raises ValueError on a negative index.  Read-only."""
+        masks: dict[int, int] = {}
+        for pos, cone in enumerate(self.max_cones):
+            if cone and cone[0] < 0:
+                raise ValueError(f"cone {cone} has a negative ray index")
+            for i in cone:
+                masks[i] = masks.get(i, 0) | 1 << pos
+        return masks
 
     @cached_property
-    def minimal_nonfaces(self) -> tuple[int, ...]:
-        """Bitmasks of the minimal non-faces (the primitive collections), in
-        ascending order.
+    def _face_walk(self) -> tuple[set[int], tuple[int, ...]]:
+        """One depth-first walk over the faces in ascending bitmask order.
 
-        A minimal non-face P is F | {v} with v its highest ray and F = P - {v}
-        a face, so extending every face by every ray above its top bit finds
-        each one exactly once."""
-        faces = self.faces
-        out = []
-        for face in faces:
-            for v in range(face.bit_length(), self.n_rays):
-                p = face | 1 << v
-                if p in faces:
+        A face F extends by each ray u below its lowest ray: F | u is a face
+        iff the AND of the ray masks is nonzero.  Otherwise it is a non-face,
+        minimal iff every F | u - x (x in F) is a face; those have smaller
+        bitmasks than F, so the walk has already met them.  Each minimal
+        non-face P is found once, from the face P minus its lowest ray."""
+        n = self.n_rays
+        masks = [self.ray_cones.get(u, 0) for u in range(n)]
+        faces: set[int] = set()
+        nonfaces = []
+        # (face, its lowest ray or n for the zero cone, AND of its masks);
+        # children are pushed highest ray first so the walk pops ascending
+        stack = [(0, n, (1 << len(self.max_cones)) - 1)]
+        while stack:
+            face, low, common = stack.pop()
+            faces.add(face)
+            for u in range(low - 1, -1, -1):
+                ext = face | 1 << u
+                shared = common & masks[u]
+                if shared:
+                    stack.append((ext, u, shared))
                     continue
                 rest = face
                 while rest:
-                    low = rest & -rest
-                    if p ^ low not in faces:
+                    bit = rest & -rest
+                    if ext ^ bit not in faces:
                         break
-                    rest ^= low
+                    rest ^= bit
                 else:
-                    out.append(p)
-        return tuple(sorted(out))
+                    nonfaces.append(ext)
+        return faces, tuple(sorted(nonfaces))
+
+    @property
+    def faces(self) -> set[int]:
+        """Bitmask of every cone over the rays, the zero cone included.
+        Read-only."""
+        return self._face_walk[0]
+
+    @property
+    def minimal_nonfaces(self) -> tuple[int, ...]:
+        """Bitmasks of the minimal non-faces (the primitive collections), in
+        ascending order."""
+        return self._face_walk[1]
 
     @cached_property
     def _dual_bases(self) -> dict[ConeRef, tuple[IntVector, ...]]:
@@ -290,15 +318,25 @@ def validate(f: LatticeFan) -> ValidationReport:
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
+def _cones_containing(f: LatticeFan, rays: Iterable[int]) -> int:
+    """Bitmask of the maximal cones containing every ray in ``rays``; -1
+    (every cone) for no rays."""
+    masks = f.ray_cones
+    common = -1
+    for i in rays:
+        common &= masks.get(i, 0)
+    return common
+
+
 def spans_cone(f: LatticeFan, s: Iterable[int]) -> bool:
     """True iff s is contained in some maximal cone (faces of a simplicial
-    fan are exactly the subsets of maximal cones), read from the fan's face
-    set.  The empty set is the zero cone and always spans."""
+    fan are exactly the subsets of maximal cones): the AND of the rays'
+    cone masks is nonzero.  The empty set is the zero cone and always spans."""
     idx = tuple(s)
     for i in idx:
         if i < 0 or i >= f.n_rays:
             raise IndexError(f"ray index {i} out of range")
-    return ray_mask(idx) in f.faces
+    return _cones_containing(f, idx) != 0
 
 
 def locate(f: LatticeFan, p: Sequence[int]) -> tuple[ConeRef, tuple[int, ...]]:
@@ -314,8 +352,13 @@ def locate(f: LatticeFan, p: Sequence[int]) -> tuple[ConeRef, tuple[int, ...]]:
     if all(x == 0 for x in p):
         return ZERO_CONE, ()
     for cone in f.max_cones:
-        coords = [sum(a * b for a, b in zip(m, p)) for m in f.dual_basis(cone)]
-        if all(c >= 0 for c in coords):
+        coords = []
+        for m in f.dual_basis(cone):
+            c = sum(a * b for a, b in zip(m, p))
+            if c < 0:
+                break
+            coords.append(c)
+        else:
             support = tuple(i for i, c in zip(cone, coords) if c > 0)
             coeffs = tuple(c for c in coords if c > 0)
             return support, coeffs
@@ -363,9 +406,12 @@ def faces_of_dim(f: LatticeFan, d: int) -> list[ConeRef]:
 
 
 def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
-    """The two rays completing a wall ((n-1)-cone) to its maximal cones."""
+    """The two rays completing a wall ((n-1)-cone) to its maximal cones:
+    the rays outside it whose cone mask meets the AND of the wall's."""
     w = ray_mask(wall)
-    others = [u for u in range(f.n_rays) if not w >> u & 1 and w | 1 << u in f.faces]
+    masks = f.ray_cones
+    common = _cones_containing(f, wall)
+    others = [u for u in range(f.n_rays) if not w >> u & 1 and masks.get(u, 0) & common]
     if len(others) != 2:
         raise PreconditionError(
             f"wall {f.cone_labels(wall)} is shared by {len(others)} maximal cones, expected 2"

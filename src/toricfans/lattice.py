@@ -76,11 +76,16 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
+        top = a[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            lead = row[k]
+            if lead:
+                a[i] = [(x * pivot - lead * y) // prev for x, y in zip(row, top)]
+            elif pivot != prev:
+                a[i] = [x * pivot // prev for x in row]
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 

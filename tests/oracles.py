@@ -77,6 +77,36 @@ def minimal_nonfaces_brute_force(cone_masks, n_rays):
     return sorted(out)
 
 
+def faces_by_submasks(f):
+    """(faces, minimal non-faces) of a fan: every submask of every maximal
+    cone, then every face extended by every ray above its top bit, keeping
+    the non-faces whose facets are all faces (a minimal non-face minus its
+    highest ray is a face).  The reference for the walk behind
+    ``LatticeFan.faces`` and ``LatticeFan.minimal_nonfaces``."""
+    faces = {0}
+    for cone in f.max_cones:
+        mask = sum(1 << i for i in cone)
+        sub = mask
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
+    out = []
+    for face in faces:
+        for v in range(face.bit_length(), f.n_rays):
+            p = face | 1 << v
+            if p in faces:
+                continue
+            rest = face
+            while rest:
+                low = rest & -rest
+                if p ^ low not in faces:
+                    break
+                rest ^= low
+            else:
+                out.append(p)
+    return faces, tuple(sorted(out))
+
+
 def _proper_subsets(s):
     from itertools import combinations
 

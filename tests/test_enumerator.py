@@ -1,6 +1,7 @@
-"""The face-extension enumerator of primitive collections (the per-fan
-``LatticeFan.minimal_nonfaces``) against a brute-force subset search, and on
-products past 25 rays."""
+"""The face walk behind ``LatticeFan.faces`` and
+``LatticeFan.minimal_nonfaces`` (the primitive collections) against the
+submask construction and a brute-force subset search, against closed forms,
+under ray relabelling, and on products past 25 rays."""
 
 import time
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricfans.birational import blowup
-from toricfans.fan import ray_mask, star_subdivision
+from toricfans.fan import LatticeFan, ray_mask, star_subdivision
 from toricfans.primitive import primitive_collections
 
 from fixtures import b3, bl_pt_p2, p1xp1, p2, p3, pn, product_fan
-from oracles import minimal_nonfaces_brute_force
+from oracles import faces_by_submasks, minimal_nonfaces_brute_force
 
 
 def _assert_matches_oracle(fan):
@@ -44,6 +45,40 @@ def blown_up_fans(draw):
 @settings(max_examples=40, deadline=None)
 def test_blowup_sequences_match_brute_force(fan):
     _assert_matches_oracle(fan)
+
+
+@given(blown_up_fans())
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_submasks(fan):
+    assert (fan.faces, fan.minimal_nonfaces) == faces_by_submasks(fan)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_p1_power_closed_form(k):
+    # (P1)^k: 3^k faces, and the k pairs of opposite rays are its collections
+    fan = pn(1)
+    for _ in range(k - 1):
+        fan = product_fan(fan, pn(1))
+    assert len(fan.faces) == 3**k
+    assert len(fan.minimal_nonfaces) == k
+    for mask in fan.minimal_nonfaces:
+        pair = [i for i in range(fan.n_rays) if mask >> i & 1]
+        assert len(pair) == 2
+        assert all(a + b == 0 for a, b in zip(fan.vector(pair[0]), fan.vector(pair[1])))
+
+
+@given(blown_up_fans(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_relabelling_keeps_collections(fan, rng):
+    new = list(range(fan.n_rays))  # ray i of fan is ray new[i] of the relabelled fan
+    rng.shuffle(new)
+    rays = [None] * fan.n_rays
+    for i, j in enumerate(new):
+        rays[j] = fan.vector(i)
+    relabelled = LatticeFan(fan.rank, rays, [[new[i] for i in cone] for cone in fan.max_cones])
+    moved = {ray_mask(new[i] for i in range(fan.n_rays) if m >> i & 1) for m in fan.minimal_nonfaces}
+    assert set(relabelled.minimal_nonfaces) == moved
+    assert len(relabelled.faces) == len(fan.faces)
 
 
 def test_product_past_old_ray_cap():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricfans import lattice
 from toricfans.birational import is_contractible
-from toricfans.chern import screen_2fano
+from toricfans.chern import ch2_dot_invariant_surface, screen_2fano
 from toricfans.errors import FanValidationError, PreconditionError
 from toricfans.fan import (
     LatticeFan,
@@ -18,10 +18,21 @@ from toricfans.fan import (
     wall_neighbors,
     wall_relation,
 )
-from toricfans.primitive import primitive_relations
+from toricfans.primitive import is_primitive_collection, primitive_relations
 
 import oracles
-from fixtures import b3, fivefold, hirzebruch, nonprojective_3fold, p1xp1, p2, p3, pn, small_zoo
+from fixtures import (
+    b3,
+    fivefold,
+    hirzebruch,
+    nonprojective_3fold,
+    p1xp1,
+    p2,
+    p3,
+    pn,
+    product_fan,
+    small_zoo,
+)
 from oracles import check_wall_relation, fm_feasible
 from test_enumerator import blown_up_fans
 from test_lattice import unimodular
@@ -125,7 +136,7 @@ class TestSpansCone:
 
 
 class TestFaceIndex:
-    """Face queries on the fan's face bitmask set against scans over the
+    """Face queries on the fan's per-ray cone masks against scans over the
     maximal cones (tests/oracles.py)."""
 
     @given(blown_up_fans())
@@ -143,6 +154,51 @@ class TestFaceIndex:
         f = b3()
         cones = {sub for c in f.max_cones for d in range(f.rank + 1) for sub in combinations(c, d)}
         assert f.faces == {sum(1 << i for i in c) for c in cones}
+
+    @pytest.mark.parametrize("f", ZOO)
+    def test_ray_cones_are_the_cone_positions(self, f):
+        for u in range(f.n_rays):
+            positions = [k for k, cone in enumerate(f.max_cones) if u in cone]
+            assert f.ray_cones.get(u, 0) == sum(1 << k for k in positions)
+
+
+# a cone lists ray 7 on a 4-ray fan; the face queries keep what they
+# returned when they read a face set built from every submask of every cone
+OUT_OF_RANGE = LatticeFan(
+    3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 7)]
+)
+NEGATIVE = LatticeFan(
+    3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, -1)]
+)
+
+
+class TestMalformedConeIndices:
+    def test_out_of_range_index(self):
+        f = fresh(OUT_OF_RANGE)
+        assert spans_cone(f, (0, 1)) is True
+        assert spans_cone(f, (1, 2)) is True
+        assert spans_cone(f, (1, 2, 3)) is False
+        with pytest.raises(FanValidationError):
+            ch2_dot_invariant_surface(f, (0,))
+        assert is_primitive_collection(f, (0, 1, 2, 3)) is False
+        assert is_primitive_collection(f, (1, 2, 3)) is True
+        assert wall_neighbors(f, (0, 1)) == (2, 3)
+        with pytest.raises(PreconditionError, match="shared by 1 maximal cones"):
+            wall_neighbors(f, (1, 2))
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda f: spans_cone(f, (0, 1)),
+            lambda f: spans_cone(f, ()),
+            lambda f: ch2_dot_invariant_surface(f, (0,)),
+            lambda f: is_primitive_collection(f, (0, 1, 2, 3)),
+            lambda f: wall_neighbors(f, (0, 1)),
+        ],
+    )
+    def test_negative_index(self, query):
+        with pytest.raises(ValueError):
+            query(fresh(NEGATIVE))
 
 
 class TestLocate:
@@ -180,6 +236,19 @@ class TestLocate:
     def test_random_points_match_reference(self, f, data):
         p = data.draw(st.lists(st.integers(-9, 9), min_size=f.rank, max_size=f.rank))
         assert locate(f, p) == locate_reference(f, p)
+
+    def test_every_primitive_relation_of_a_product(self):
+        # a blowup tower over P3 times (P1)^2: 12 rays, 48 maximal cones
+        tower = p3()
+        for _ in range(4):
+            tower = star_subdivision(tower, tower.max_cones[0][:2])
+        f = product_fan(product_fan(tower, pn(1)), pn(1))
+        rels = primitive_relations(f)
+        assert len(rels) == len(primitive_relations(tower)) + 2
+        for rel in rels:
+            p = lattice.vec_sum([f.vector(i) for i in rel.collection], f.rank)
+            assert locate(f, p) == locate_reference(f, p)
+            assert locate(f, p) == (rel.focus, rel.coefficients)
 
 
 class TestStarSubdivision:

@@ -12,6 +12,16 @@ def square_matrix(n):
     return st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
+def sparse_matrix(n):
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def signed_permutation(n):
+    """(permutation, signs) of the matrix with signs[i] at (i, perm[i])."""
+    return st.tuples(st.permutations(list(range(n))), st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+
+
 def unimodular(n, steps=6):
     """Random unimodular matrix: identity churned by integer row operations."""
 
@@ -67,6 +77,45 @@ class TestDeterminant:
     def test_no_overflow(self):
         big = 10**30
         assert lattice.determinant([(big, 0), (0, big)]) == big * big
+
+    @given(st.integers(1, 5).flatmap(sparse_matrix))
+    @settings(max_examples=200)
+    def test_sparse_against_leibniz(self, m):
+        # mostly zeros: zero pivots, zero leading entries and singular matrices
+        assert lattice.determinant(m) == brute_force_determinant(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [(0, 1, 0), (1, 0, 0), (0, 0, 1)],  # zero pivot, one swap
+            [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+            [(0, 2, 1, 0), (0, 0, 3, 1), (1, 0, 0, 2), (0, 1, 1, 0)],
+            [(2, 4, 1), (1, 2, 5), (3, 6, 0)],  # zero pivot in the second step
+            [(1, 2, 3), (2, 4, 6), (0, 1, 1)],  # singular: dependent rows
+            [(1, 2, 3), (4, 5, 6), (7, 8, 9)],  # singular, full support
+            [(0, 1, 2), (0, 3, 4), (0, 5, 6)],  # singular: zero column
+            [(3, 0, 0, 0), (0, 0, 0, 0), (0, 0, 5, 0), (0, 0, 0, 7)],  # zero row
+            [(2, 0, 0), (0, 2, 0), (1, 1, 2)],  # pivot equals the previous pivot
+        ],
+    )
+    def test_zero_pivots_and_singular(self, m):
+        assert lattice.determinant(m) == brute_force_determinant(m)
+
+    @given(st.integers(1, 10).flatmap(signed_permutation))
+    @settings(max_examples=100)
+    def test_signed_permutation(self, case):
+        perm, signs = case
+        n = len(perm)
+        m = [tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n)]
+        parity = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    parity = -parity
+        product = 1
+        for s in signs:
+            product *= s
+        assert lattice.determinant(m) == parity * product
 
 
 class TestSolve:
