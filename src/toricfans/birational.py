@@ -18,7 +18,7 @@ from .errors import (
     FlipError,
     PreconditionError,
 )
-from .fan import ConeRef, LatticeFan, Ray, ray_mask, spans_cone
+from .fan import ConeRef, LatticeFan, Ray, _cones_containing, spans_cone
 from .primitive import PrimitiveRelation, primitive_relation
 
 
@@ -55,18 +55,21 @@ class FlipSpec:
 def is_contractible(f: LatticeFan, rel: PrimitiveRelation) -> bool:
     """Casagrande's criterion: for every cone tau (the zero cone included)
     disjoint from collection and focus such that <focus, tau> is a cone,
-    every <collection minus one, focus, tau> must be a cone."""
+    every <collection minus one, focus, tau> must be a cone.
+
+    The condition passes from tau to its faces, and every such tau lies in
+    tau_C = C - (collection | focus) for a maximal cone C through the focus,
+    so only those are checked: each is an AND over the fan's ray cone masks."""
     f.require_valid()
-    faces = f.faces
-    focus = ray_mask(rel.focus)
-    blocked = ray_mask(rel.collection) | focus
-    drops = [blocked & ~(1 << v) for v in rel.collection]
-    return all(
-        need | tau in faces
-        for tau in faces
-        if not tau & blocked and focus | tau in faces
-        for need in drops
-    )
+    blocked = set(rel.collection) | set(rel.focus)
+    drops = [_cones_containing(f, (u for u in rel.collection if u != v)) for v in rel.collection]
+    through = _cones_containing(f, rel.focus)
+    for pos, cone in enumerate(f.max_cones):
+        if through >> pos & 1:
+            common = through & _cones_containing(f, (u for u in cone if u not in blocked))
+            if not all(common & d for d in drops):
+                return False
+    return True
 
 
 def _drop_ray(f: LatticeFan, removed: int, cones) -> LatticeFan:

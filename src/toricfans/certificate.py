@@ -94,6 +94,17 @@ _CASE_TABLE = {
 }
 
 
+def _role(kind: str, i: int, j: int | None, cut_out: int) -> str:
+    """Role of the cut-out index in a step with x-indices i (and j)."""
+    if kind == "blowdown":
+        return "cut" if i == cut_out else "off"
+    if kind == "exceptional_pair":
+        return "j" if j == cut_out else "i" if i == cut_out else "off"
+    if kind == "flip":
+        return "cut" if cut_out in (i, j) else "off"
+    raise CertificateError(f"unknown step kind {kind!r}")
+
+
 def build_certificate(
     log: TransformLog, fiber_dim: int = 2, cut_out: int | None = None
 ) -> Certificate:
@@ -106,24 +117,9 @@ def build_certificate(
         raise UnsupportedError(f"certificates are built for fiber dimension 2, got {fiber_dim}")
     if cut_out is None:
         cut_out = fiber_dim
-    if not (0 <= cut_out <= fiber_dim):
-        raise CertificateError(f"cut-out index {cut_out} out of range 0..{fiber_dim}")
     corrections = []
     for idx, step in enumerate(log.steps):
-        if step.kind == "blowdown":
-            role = "cut" if step.i == cut_out else "off"
-        elif step.kind == "exceptional_pair":
-            if step.j == cut_out:
-                role = "j"
-            elif step.i == cut_out:
-                role = "i"
-            else:
-                role = "off"
-        elif step.kind == "flip":
-            role = "cut" if cut_out in (step.i, step.j) else "off"
-        else:
-            raise CertificateError(f"log step {idx} has unknown kind {step.kind!r}")
-        doubled, case = _CASE_TABLE[(step.kind, role)]
+        doubled, case = _CASE_TABLE[(step.kind, _role(step.kind, step.i, step.j, cut_out))]
         corrections.append(
             Correction(
                 step_index=idx,
@@ -155,9 +151,11 @@ def build_certificate(
 
 
 def check_certificate(cert: Certificate) -> CheckResult:
-    """Symbolic verdict: every correction coefficient must lie in the allowed
-    nonnegative set (anything else is an invalid certificate), and the base
-    term must be nonpositive for every ordered tuple a_0 <= ... <= a_m.
+    """Symbolic verdict.  Every correction must carry the coefficient and
+    case that the case table assigns to its step kind and to the role of the
+    cut-out index among its x-indices (anything else, an out-of-set
+    coefficient included, is an invalid certificate), and the base term must
+    be nonpositive for every ordered tuple a_0 <= ... <= a_m.
 
     Nonpositivity is decided by rewriting the base in the difference basis
     a_0, d_j = a_j - a_{j-1} >= 0: it holds for all ordered integer tuples
@@ -165,11 +163,15 @@ def check_certificate(cert: Certificate) -> CheckResult:
     d_j-coefficient (a suffix sum) is <= 0.  For the canonical base this is
     exactly the chain sum_{i>=2} a_i >= (m-1) a_2 >= (m-1)(a_0+a_1)/2."""
     reasons = []
+    if not (0 <= cert.cut_out <= cert.fiber_dim):
+        raise CertificateError(f"cut-out index {cert.cut_out} out of range 0..{cert.fiber_dim}")
     for c in cert.corrections:
-        if c.doubled_coefficient not in ALLOWED_DOUBLED:
+        doubled, case = _CASE_TABLE[(c.kind, _role(c.kind, c.i, c.j, cert.cut_out))]
+        if (c.doubled_coefficient, c.case) != (doubled, case):
             raise CertificateError(
-                f"correction {c.parameter} has coefficient {_fmt_half(c.doubled_coefficient)} "
-                f"outside the allowed set {{0, 1/2, 1, 3/2, 5/2}}"
+                f"correction {c.parameter} ({c.kind}, i={c.i}, j={c.j}, cut-out {cert.cut_out}) has "
+                f"coefficient {_fmt_half(c.doubled_coefficient)} and case {c.case!r}; the case table "
+                f"gives {_fmt_half(doubled)} and {case!r}"
             )
     m = cert.fiber_dim
     if m < 1 or len(cert.base_doubled) != m + 1:

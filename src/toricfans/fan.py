@@ -460,18 +460,41 @@ def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
 
 
 def is_projective(f: LatticeFan) -> bool:
-    """Existence of a strictly convex piecewise-linear support function.
+    """Existence of a strictly convex piecewise-linear support function,
+    decided with a checked witness by projectivity_witness."""
+    return projectivity_witness(f)[0]
+
+
+def projectivity_witness(f: LatticeFan) -> tuple[bool, tuple[IntVector, ...], IntVector]:
+    """(projective, the distinct wall relations, a witness) for a valid fan.
 
     A divisor sum(a_v V(v)) is ample exactly when it pairs positively with
-    every wall curve, so the fan is projective iff the system
-    a . alpha_w > 0 over all wall relations is strictly feasible; by duality
-    that fails precisely when some nonzero nonnegative combination of wall
-    curve classes vanishes, which is decided exactly over the rationals.
-    Walls sharing a curve class give one row: repeating a row does not
-    change the answer."""
+    every wall curve, so the fan is projective iff a . alpha_w > 0 is
+    strictly feasible over the wall relations alpha_w; by Gordan's
+    alternative that fails precisely when some nonzero nonnegative
+    combination of wall relations vanishes.  Walls sharing a curve class
+    give one relation.  The witness is an integer divisor a (one entry per
+    ray, 0 on max_cones[0]) with a . alpha >= 1 for every relation when
+    projective, and otherwise integer weights lambda >= 0, not all 0, with
+    sum lambda_k alpha_k = 0.
+
+    The rays of max_cones[0] are a basis, so a relation vanishes iff its
+    entries on the other rho = n_rays - rank rays do, and adding a linear
+    function makes any divisor vanish on that cone without changing its
+    pairings.  lattice.gordan_witness therefore decides the alternative on
+    the relations' entries off the cone, in rho + 1 integer equations.  Its
+    witness, the divisor lifted by zeros on the cone, is checked again on the
+    full wall relations, which checks the projection too."""
     f.require_valid()
     walls = faces_of_dim(f, f.rank - 1)
-    rows = list(dict.fromkeys(wall_relation(f, w) for w in walls))
-    if not rows:
-        return True
-    return not lattice.has_nonnegative_kernel(rows)
+    relations = tuple(dict.fromkeys(wall_relation(f, w) for w in walls))
+    cone = f.max_cones[0]
+    off = [v for v in range(f.n_rays) if v not in cone]
+    kernel, witness = lattice.gordan_witness([tuple(a[v] for v in off) for a in relations])
+    if not kernel:
+        divisor = [0] * f.n_rays
+        for v, x in zip(off, witness):
+            divisor[v] = x
+        witness = tuple(divisor)
+    lattice.check_gordan_witness(relations, kernel, witness)
+    return not kernel, relations, witness

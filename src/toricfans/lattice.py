@@ -1,9 +1,10 @@
 """Exact integer linear algebra used by every other module.
 
 Vectors are tuples of Python ints (arbitrary precision), matrices are
-sequences of such row vectors.  Rational intermediates use fractions.Fraction;
-every public result is an integer object or an explicit non-integrality
-signal.  No floats anywhere.
+sequences of such row vectors.  solve_integer_system's elimination uses
+fractions.Fraction; determinants, inverses and the Gordan LP are
+fraction-free.  Every public result is an integer object or an explicit
+non-integrality signal.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -220,65 +221,101 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 
 def has_nonnegative_kernel(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff some nonzero nonnegative combination of the rows vanishes.
+    """True iff some nonzero nonnegative combination of the rows vanishes:
+    the verdict of gordan_witness, whose witness is checked on every call."""
+    return gordan_witness(rows)[0]
 
-    Decides strict feasibility of  A x > 0  by Gordan duality: the system is
-    infeasible exactly when  sum_i lambda_i * row_i = 0  has a solution with
-    lambda >= 0, sum lambda = 1.  That equality system is solved by an exact
-    phase-1 simplex over Fractions with Bland's rule (small: rank+1 equations,
-    one variable per row), so the answer is exact and termination guaranteed.
+
+def gordan_witness(rows: Sequence[Sequence[int]]) -> tuple[bool, IntVector]:
+    """Gordan's alternative for integer rows a_i, with a checked witness.
+
+    Exactly one side holds.  Either some lambda >= 0, lambda != 0, has
+    sum_i lambda_i a_i = 0: returns (True, lambda) with lambda integral.  Or
+    some x has a_i . x > 0 for every i: returns (False, x) with x integral
+    and a_i . x >= 1.
+
+    Decided by the phase-1 simplex for  sum_i lambda_i a_i = 0,
+    sum lambda = 1, lambda >= 0  (dim + 1 equations, one artificial each),
+    in integers: the tableau is kept scaled by the previous pivot D, so a
+    pivot on p updates every other row by (x * p - c * y) // D, an exact
+    division (Edmonds' integer pivoting).  D stays positive, so every sign
+    test and the cross-multiplied ratio test read as over the rationals, and
+    Bland's rule (the first column with negative reduced cost enters; ratio
+    ties go to the smallest basis index) fixes the pivots and termination.
+    A zero optimum leaves D * lambda in the rhs of the basic lambda columns;
+    a positive one leaves the duals y of the coordinate equations in the
+    artificial columns' reduced costs 1 - y, and x = -y * D.  The witness
+    is checked by check_gordan_witness before it is returned.
     """
     rows = [tuple(r) for r in rows]
-    if not rows:
-        return False
-    dim = len(rows[0])
+    dim = len(rows[0]) if rows else 0
     if any(len(r) != dim for r in rows):
         raise ShapeError("rows have unequal lengths")
     m = len(rows)
-    # equalities: for each coordinate sum_i lambda_i row_i[d] = 0; sum lambda = 1
-    eqs = [[Fraction(rows[i][d]) for i in range(m)] for d in range(dim)]
-    eqs.append([Fraction(1)] * m)
-    rhs = [Fraction(0)] * dim + [Fraction(1)]
-    # normalize rows to rhs >= 0 (only the last is nonzero, already positive)
-    n_rows = len(eqs)
-    n_cols = m + n_rows  # lambdas plus one artificial per equation
-    # tableau rows: [coefficients | rhs]; artificial j basic in equation j
-    tab = [eqs[j] + [Fraction(1) if k == j else Fraction(0) for k in range(n_rows)] + [rhs[j]]
-           for j in range(n_rows)]
-    basis = [m + j for j in range(n_rows)]
-    # reduced-cost row for minimizing the artificial sum: cost 1 on
-    # artificials, 0 on lambdas, priced out against the artificial basis
-    cost = [Fraction(0)] * m + [Fraction(1)] * n_rows + [Fraction(0)]
-    obj = list(cost)
-    for j in range(n_rows):
-        for k in range(n_cols + 1):
-            obj[k] -= tab[j][k]
-
+    n_eqs = dim + 1
+    n_cols = m + n_eqs  # lambdas, then one artificial per equation
+    # [lambda coefficients | artificials | rhs]: the coordinate equations,
+    # sum lambda = 1, and last the artificial sum's reduced costs, priced
+    # out against the artificial basis
+    tab = [[r[d] for r in rows] + [int(k == d) for k in range(n_eqs)] + [0] for d in range(dim)]
+    tab.append([1] * m + [int(k == dim) for k in range(n_eqs)] + [1])
+    tab.append([-sum(r) - 1 for r in rows] + [0] * n_eqs + [-1])
+    obj = n_eqs
+    basis = list(range(m, n_cols))
+    scale = 1
     while True:
-        enter = next((k for k in range(n_cols) if obj[k] < 0), None)
+        enter = next((k for k in range(n_cols) if tab[obj][k] < 0), None)
         if enter is None:
             break
-        # Bland's rule: smallest ratio, ties by smallest basis index
+        # Bland's rule: the smallest ratio rhs / a over a > 0, compared by
+        # cross-multiplication, ties to the smallest basis index
         pivot_row = None
-        best = None
-        for j in range(n_rows):
-            if tab[j][enter] > 0:
-                ratio = tab[j][n_cols] / tab[j][enter]
-                if best is None or ratio < best or (ratio == best and basis[j] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = j
+        for j in range(n_eqs):
+            a = tab[j][enter]
+            if a > 0:
+                if pivot_row is not None:
+                    best = tab[pivot_row]
+                    lhs, rhs = tab[j][n_cols] * best[enter], best[n_cols] * a
+                    if lhs > rhs or (lhs == rhs and basis[j] > basis[pivot_row]):
+                        continue
+                pivot_row = j
         if pivot_row is None:
             break  # unbounded; cannot happen for a phase-1 objective
-        piv = tab[pivot_row][enter]
-        tab[pivot_row] = [x / piv for x in tab[pivot_row]]
-        for j in range(n_rows):
-            if j != pivot_row and tab[j][enter] != 0:
-                factor = tab[j][enter]
-                tab[j] = [x - factor * y for x, y in zip(tab[j], tab[pivot_row])]
-        if obj[enter] != 0:
-            factor = obj[enter]
-            obj = [x - factor * y for x, y in zip(obj, tab[pivot_row])]
+        top = tab[pivot_row]
+        piv = top[enter]
+        for j, row in enumerate(tab):
+            if j == pivot_row:
+                continue
+            c = row[enter]
+            if c:
+                tab[j] = [(x * piv - c * y) // scale for x, y in zip(row, top)]
+            elif piv != scale:
+                tab[j] = [x * piv // scale for x in row]
         basis[pivot_row] = enter
+        scale = piv
+    if tab[obj][n_cols] == 0:
+        lam = [0] * m
+        for j, b in enumerate(basis):
+            if b < m:
+                lam[b] = tab[j][n_cols]
+        kernel, witness = True, tuple(lam)
+    else:
+        kernel, witness = False, tuple(tab[obj][m + d] - scale for d in range(dim))
+    check_gordan_witness(rows, kernel, witness)
+    return kernel, witness
 
-    optimum = -obj[n_cols]
-    return optimum == 0
+
+def check_gordan_witness(rows: Sequence[Sequence[int]], kernel: bool, witness: Sequence[int]) -> None:
+    """Raise ArithmeticError unless the witness proves its side of Gordan's
+    alternative for the rows: with kernel, a nonzero nonnegative lambda (one
+    entry per row) with sum_i lambda_i row_i = 0; without, an x with
+    row . x >= 1 for every row.  Exact dot products, independent of the LP;
+    a failure is a defect of this module, not of the input."""
+    if kernel:
+        if len(witness) != len(rows) or any(c < 0 for c in witness) or not any(witness):
+            raise ArithmeticError("kernel witness is not a nonzero nonnegative weight per row")
+        dim = len(rows[0])
+        if vec_sum(([c * x for x in row] for c, row in zip(witness, rows) if c), dim) != (0,) * dim:
+            raise ArithmeticError("kernel witness does not combine the rows to zero")
+    elif any(len(row) != len(witness) or dot(row, witness) < 1 for row in rows):
+        raise ArithmeticError("divisor witness does not pair to >= 1 with every row")

@@ -7,7 +7,9 @@ the surgery tests.  A brute-force subset search is the reference for the
 package's face-extension enumerator of minimal non-faces, and scans over the
 maximal cones are the references for the face queries that read the fan's
 face bitmask set.  The divisor-times-orbit reduction is the reference for the
-link walk that computes ch2 against invariant surfaces.
+link walk that computes ch2 against invariant surfaces.  The Fraction
+phase-1 simplex is the reference for the integer tableau that decides Gordan's
+alternative, and Fourier-Motzkin elimination an independent second one.
 """
 
 from fractions import Fraction
@@ -175,6 +177,75 @@ def fm_feasible(rows) -> bool:
                 new.append((coeffs, b * p_const + a * n_const))
         constraints = new
     return all(const <= 0 for _, const in constraints)
+
+
+def fraction_simplex_kernel(rows) -> bool:
+    """True iff some nonzero nonnegative combination of the rows vanishes.
+    The package's former Fraction simplex, kept as the reference for the
+    integer tableau of ``lattice.has_nonnegative_kernel``.
+
+    Decides strict feasibility of  A x > 0  by Gordan duality: the system is
+    infeasible exactly when  sum_i lambda_i * row_i = 0  has a solution with
+    lambda >= 0, sum lambda = 1.  That equality system is solved by an exact
+    phase-1 simplex over Fractions with Bland's rule (small: rank+1 equations,
+    one variable per row), so the answer is exact and termination guaranteed.
+    """
+    from toricfans.errors import ShapeError
+
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return False
+    dim = len(rows[0])
+    if any(len(r) != dim for r in rows):
+        raise ShapeError("rows have unequal lengths")
+    m = len(rows)
+    # equalities: for each coordinate sum_i lambda_i row_i[d] = 0; sum lambda = 1
+    eqs = [[Fraction(rows[i][d]) for i in range(m)] for d in range(dim)]
+    eqs.append([Fraction(1)] * m)
+    rhs = [Fraction(0)] * dim + [Fraction(1)]
+    # normalize rows to rhs >= 0 (only the last is nonzero, already positive)
+    n_rows = len(eqs)
+    n_cols = m + n_rows  # lambdas plus one artificial per equation
+    # tableau rows: [coefficients | rhs]; artificial j basic in equation j
+    tab = [eqs[j] + [Fraction(1) if k == j else Fraction(0) for k in range(n_rows)] + [rhs[j]]
+           for j in range(n_rows)]
+    basis = [m + j for j in range(n_rows)]
+    # reduced-cost row for minimizing the artificial sum: cost 1 on
+    # artificials, 0 on lambdas, priced out against the artificial basis
+    cost = [Fraction(0)] * m + [Fraction(1)] * n_rows + [Fraction(0)]
+    obj = list(cost)
+    for j in range(n_rows):
+        for k in range(n_cols + 1):
+            obj[k] -= tab[j][k]
+
+    while True:
+        enter = next((k for k in range(n_cols) if obj[k] < 0), None)
+        if enter is None:
+            break
+        # Bland's rule: smallest ratio, ties by smallest basis index
+        pivot_row = None
+        best = None
+        for j in range(n_rows):
+            if tab[j][enter] > 0:
+                ratio = tab[j][n_cols] / tab[j][enter]
+                if best is None or ratio < best or (ratio == best and basis[j] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = j
+        if pivot_row is None:
+            break  # unbounded; cannot happen for a phase-1 objective
+        piv = tab[pivot_row][enter]
+        tab[pivot_row] = [x / piv for x in tab[pivot_row]]
+        for j in range(n_rows):
+            if j != pivot_row and tab[j][enter] != 0:
+                factor = tab[j][enter]
+                tab[j] = [x - factor * y for x, y in zip(tab[j], tab[pivot_row])]
+        if obj[enter] != 0:
+            factor = obj[enter]
+            obj = [x - factor * y for x, y in zip(obj, tab[pivot_row])]
+        basis[pivot_row] = enter
+
+    optimum = -obj[n_cols]
+    return optimum == 0
 
 
 def check_wall_relation(f, wall, alpha):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from toricfans.certificate import (
+    ALLOWED_DOUBLED,
+    _CASE_TABLE,
     Certificate,
     Correction,
     build_certificate,
@@ -108,18 +110,62 @@ class TestBuild:
 
 
 class TestCheck:
-    def test_all_allowed_coefficients(self):
-        for doubled in (0, 1, 2, 3, 5):
+    def test_every_table_entry_verifies(self):
+        # x-indices giving each role to the cut-out index 2
+        indices = {"cut": (2, 0), "off": (0, 1), "i": (2, 0), "j": (0, 2)}
+        for (kind, role), (doubled, case) in _CASE_TABLE.items():
+            i, j = indices[role]
             cert = Certificate(
                 fiber_dim=2,
                 cut_out=2,
                 base_doubled=(1, 1, -2),
-                corrections=(
-                    Correction(0, "blowdown", doubled, "m1", "a", "case", 0, None),
-                ),
+                corrections=(Correction(0, kind, doubled, "m1", "a", case, i, None if kind == "blowdown" else j),),
                 proven=False,
             )
+            assert check_certificate(cert).proven, (kind, role)
+
+    @pytest.mark.parametrize("doubled", ALLOWED_DOUBLED)
+    def test_coefficient_must_match_the_step(self, doubled):
+        # an allowed coefficient is not enough: a blowdown that misses the
+        # cut-out index takes 3/2 and nothing else
+        cert = Certificate(
+            fiber_dim=2,
+            cut_out=2,
+            base_doubled=(1, 1, -2),
+            corrections=(Correction(0, "blowdown", doubled, "m1", "a", "blowdown-offcut", 0, None),),
+            proven=False,
+        )
+        if doubled == 3:
             assert check_certificate(cert).proven
+        else:
+            with pytest.raises(CertificateError):
+                check_certificate(cert)
+
+    def test_edited_flip_cut_coefficient_rejected(self):
+        y, xp, cent = flip_fixture_4d()
+        _, log = run_step1(xp, cent)
+        doc = certificate_to_dict(build_certificate(log, cut_out=0), log)
+        assert doc["corrections"][0]["coefficient"] == "5/2"
+        doc["corrections"][0]["coefficient"] = "0"
+        with pytest.raises(CertificateError):
+            check_certificate(certificate_from_dict(doc))
+
+    def test_edited_case_or_indices_rejected(self):
+        y, xp, cent = flip_fixture_4d()
+        _, log = run_step1(xp, cent)
+        doc = certificate_to_dict(build_certificate(log, cut_out=0), log)
+        for field, value in (("case", "flip-offcut"), ("i", 2), ("kind", "blowup")):
+            edited = {**doc, "corrections": [{**doc["corrections"][0], field: value}]}
+            with pytest.raises(CertificateError):
+                check_certificate(certificate_from_dict(edited))
+
+    @pytest.mark.parametrize("cut_out", (-1, 3))
+    def test_cut_out_out_of_range(self, cut_out):
+        cert = Certificate(fiber_dim=2, cut_out=cut_out, base_doubled=(1, 1, -2), corrections=(), proven=True)
+        with pytest.raises(CertificateError):
+            check_certificate(cert)
+        with pytest.raises(CertificateError):
+            _cert_for(b3(), B3_CENTERED, cut_out=cut_out)
 
     def test_negative_coefficient_invalid(self):
         cert = Certificate(

@@ -12,6 +12,7 @@ from toricfans.fan import (
     faces_of_dim,
     is_projective,
     locate,
+    projectivity_witness,
     spans_cone,
     star_subdivision,
     validate,
@@ -31,6 +32,7 @@ from fixtures import (
     p3,
     pn,
     product_fan,
+    sixfold,
     small_zoo,
 )
 from oracles import check_wall_relation, fm_feasible
@@ -375,6 +377,36 @@ class TestGLInvariance:
         assert [wall_relation(g, w) for w in walls] == [wall_relation(f, w) for w in walls]
         assert is_projective(g) == is_projective(f)
         assert screen_2fano(g) == screen_2fano(f)
+        projective, relations, witness = projectivity_witness(f)
+        lattice.check_gordan_witness(projectivity_witness(g)[1], not projective, witness)
+
+    @given(st.sampled_from(ZOO + [fivefold(550)]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_ray_permutation(self, f, data):
+        new = data.draw(st.permutations(range(f.n_rays)))  # ray i of f is ray new[i] of g
+        rays = [None] * f.n_rays
+        for i, r in enumerate(f.rays):
+            rays[new[i]] = r.vector
+        g = LatticeFan(f.rank, rays, [[new[i] for i in cone] for cone in f.max_cones])
+        projective, relations, witness = projectivity_witness(f)
+        g_relations = projectivity_witness(g)[1]
+        assert is_projective(g) == projective
+
+        def moved(vec):
+            out = [0] * f.n_rays
+            for i, x in enumerate(vec):
+                out[new[i]] = x
+            return tuple(out)
+
+        assert set(g_relations) == {moved(a) for a in relations}
+        if projective:
+            moved_witness = moved(witness)
+        else:
+            position = {a: k for k, a in enumerate(g_relations)}
+            moved_witness = [0] * len(g_relations)
+            for a, c in zip(relations, witness):
+                moved_witness[position[moved(a)]] = c
+        lattice.check_gordan_witness(g_relations, not projective, moved_witness)
 
 
 class TestProjectivity:
@@ -388,6 +420,36 @@ class TestProjectivity:
         # every wall row, duplicates included, goes to the independent oracle
         rows = [wall_relation(f, w) for w in faces_of_dim(f, f.rank - 1)]
         assert is_projective(f) == fm_feasible(rows)
+
+    @pytest.mark.parametrize("f", ZOO + [fivefold(550), sixfold(333)])
+    def test_projected_and_full_rows_agree(self, f):
+        projective, relations, witness = projectivity_witness(f)
+        assert lattice.has_nonnegative_kernel(relations) == (not projective)
+        off = [v for v in range(f.n_rays) if v not in f.max_cones[0]]
+        projected = [tuple(a[v] for v in off) for a in relations]
+        assert len(set(projected)) == len(relations)
+        assert lattice.has_nonnegative_kernel(projected) == (not projective)
+        lattice.check_gordan_witness(relations, not projective, witness)
+        if projective:
+            assert all(witness[v] == 0 for v in f.max_cones[0])
+            walls = faces_of_dim(f, f.rank - 1)
+            assert all(lattice.dot(wall_relation(f, w), witness) >= 1 for w in walls)
+
+    @pytest.mark.parametrize("f", [b3(), nonprojective_3fold()])
+    def test_full_relations_check_the_lp(self, f, monkeypatch):
+        # an LP answer that is wrong on the full wall relations is caught by
+        # is_projective's own check, not returned
+        real = lattice.gordan_witness
+
+        def corrupted(rows):
+            kernel, witness = real(rows)
+            if kernel:
+                return True, tuple(c + 1 for c in witness)
+            return False, (0,) * len(witness)
+
+        monkeypatch.setattr(lattice, "gordan_witness", corrupted)
+        with pytest.raises(ArithmeticError):
+            is_projective(f)
 
     def test_appendix_fivefold_projective(self):
         assert is_projective(fivefold(550))

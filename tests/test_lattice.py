@@ -42,6 +42,27 @@ def unimodular(n, steps=6):
     return build()
 
 
+@st.composite
+def gordan_systems(draw):
+    """Integer row systems for Gordan's alternative, some reshaped to have a
+    zero row, a repeated row, a single row, or rank below the dimension."""
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    rows = draw(st.lists(vec, min_size=1, max_size=6))
+    shape = draw(st.sampled_from(["plain", "zero row", "repeated row", "single row", "rank deficient"]))
+    if shape == "zero row":
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * dim)
+    elif shape == "repeated row":
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    elif shape == "single row":
+        rows = rows[:1]
+    elif shape == "rank deficient":
+        basis = rows[: max(1, dim - 1)]
+        combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)), min_size=1, max_size=6))
+        rows = [tuple(sum(c * b[d] for c, b in zip(cs, basis)) for d in range(dim)) for cs in combos]
+    return rows
+
+
 class TestDeterminant:
     def test_identity(self):
         assert lattice.determinant([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
@@ -272,3 +293,79 @@ class TestNonnegativeKernel:
         from oracles import fm_feasible
 
         assert lattice.has_nonnegative_kernel(rows) == (not fm_feasible(rows))
+
+    @given(gordan_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_simplex_and_fourier_motzkin(self, rows):
+        from oracles import fm_feasible, fraction_simplex_kernel
+
+        kernel, witness = lattice.gordan_witness(rows)
+        assert kernel == fraction_simplex_kernel(rows) == (not fm_feasible(rows))
+        assert lattice.has_nonnegative_kernel(rows) == kernel
+        lattice.check_gordan_witness(rows, kernel, witness)
+        if not kernel:
+            assert all(lattice.dot(r, witness) >= 1 for r in rows)
+
+    def test_witness_forms(self):
+        kernel, lam = lattice.gordan_witness([(1, 2), (0, 1), (-2, -4)])
+        assert kernel and lam[1] == 0 and lam[0] == 2 * lam[2] > 0
+        kernel, x = lattice.gordan_witness([(1, 0), (0, 1), (1, 2)])
+        assert not kernel and min(x) >= 1
+        assert lattice.gordan_witness([]) == (False, ())
+
+    def test_unequal_rows(self):
+        with pytest.raises(ShapeError):
+            lattice.gordan_witness([(1, 0), (1,)])
+
+
+class TestGordanWitnessCheck:
+    """check_gordan_witness rejects corrupted witnesses with ArithmeticError,
+    independently of the LP that produced them."""
+
+    FEASIBLE = [(1, 0, 2), (0, 1, -1), (1, 1, 0), (2, -1, 3)]
+    KERNEL = [(1, 0, 1), (0, 1, -1), (-1, -1, 0), (2, 0, 2)]
+
+    def test_lowered_divisor_coordinate(self):
+        rows = self.FEASIBLE
+        kernel, x = lattice.gordan_witness(rows)
+        assert not kernel
+        for d in range(len(x)):
+            for row in rows:
+                if row[d] > 0:
+                    # lower x_d just far enough that this row pairs to <= 0
+                    bad = list(x)
+                    bad[d] -= -(-lattice.dot(row, x) // row[d])
+                    assert lattice.dot(row, bad) <= 0
+                    with pytest.raises(ArithmeticError):
+                        lattice.check_gordan_witness(rows, False, bad)
+
+    def test_shifted_or_negative_weights(self):
+        rows = self.KERNEL
+        kernel, lam = lattice.gordan_witness(rows)
+        assert kernel
+        lattice.check_gordan_witness(rows, True, lam)
+        for a in range(len(rows)):
+            for b in range(len(rows)):
+                if a != b and lam[b] > 0 and rows[a] != rows[b]:
+                    shifted = list(lam)
+                    shifted[a] += 1
+                    shifted[b] -= 1
+                    with pytest.raises(ArithmeticError):
+                        lattice.check_gordan_witness(rows, True, shifted)
+            negative = list(lam)
+            negative[a] = -1
+            with pytest.raises(ArithmeticError):
+                lattice.check_gordan_witness(rows, True, negative)
+        # still combines the rows to zero, but with negative weights
+        with pytest.raises(ArithmeticError):
+            lattice.check_gordan_witness(rows, True, [-c for c in lam])
+
+    def test_wrong_side_or_shape(self):
+        with pytest.raises(ArithmeticError):
+            lattice.check_gordan_witness(self.KERNEL, True, (0, 0, 0, 0))
+        with pytest.raises(ArithmeticError):
+            lattice.check_gordan_witness(self.KERNEL, True, (1, 1, 1))
+        with pytest.raises(ArithmeticError):
+            lattice.check_gordan_witness(self.FEASIBLE, False, (1, 1))
+        with pytest.raises(ArithmeticError):
+            lattice.check_gordan_witness([], True, ())
