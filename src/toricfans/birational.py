@@ -18,7 +18,7 @@ from .errors import (
     FlipError,
     PreconditionError,
 )
-from .fan import ConeRef, LatticeFan, Ray, _cones_containing, spans_cone
+from .fan import ConeRef, LatticeFan, Ray, _cones_containing, _inherit_cone_data, spans_cone
 from .primitive import PrimitiveRelation, primitive_relation
 
 
@@ -73,14 +73,15 @@ def is_contractible(f: LatticeFan, rel: PrimitiveRelation) -> bool:
 
 
 def _drop_ray(f: LatticeFan, removed: int, cones) -> LatticeFan:
-    """Rebuild a fan without ray ``removed``, shifting indices down."""
-
-    def remap(i: int) -> int:
-        return i if i < removed else i - 1
-
-    rays = [Ray(remap(r.index), r.vector, r.label) for r in f.rays if r.index != removed]
-    new_cones = [tuple(sorted(remap(i) for i in cone)) for cone in cones]
-    return LatticeFan(f.rank, rays, new_cones)
+    """Rebuild a fan without ray ``removed``, shifting indices down; the
+    cones that survive keep their determinants and dual bases."""
+    remap = [i if i < removed else i - 1 for i in range(f.n_rays)]
+    remap[removed] = None
+    rays = [Ray(remap[r.index], r.vector, r.label) for r in f.rays if r.index != removed]
+    new_cones = [tuple(sorted(remap[i] for i in cone)) for cone in cones]
+    out = LatticeFan(f.rank, rays, new_cones)
+    _inherit_cone_data(out, f, remap)
+    return out
 
 
 def contract(f: LatticeFan, spec: BlowdownSpec) -> LatticeFan:
@@ -133,10 +134,13 @@ def blowup(f: LatticeFan, center: ConeRef, label: str | None = None):
     return out, rel
 
 
-def _flip_by_surgery(f: LatticeFan, spec: FlipSpec) -> LatticeFan:
+def _flip_by_surgery(f: LatticeFan, spec: FlipSpec, flipped: LatticeFan | None = None) -> LatticeFan:
     """Direct cone surgery: inside the cone spanned by collection + focus,
     replace the subdivision through <focus> by the one through <collection>,
-    extending each replaced maximal cone by its ambient rays."""
+    extending each replaced maximal cone by its ambient rays.
+
+    The output starts with the cone data of f and of ``flipped`` (the other
+    construction, whose new cones are these when the two agree)."""
     rel = spec.relation
     abar = list(rel.collection)
     cbar = set(rel.focus)
@@ -166,6 +170,9 @@ def _flip_by_surgery(f: LatticeFan, spec: FlipSpec) -> LatticeFan:
         for c in rel.focus:
             new_cones.append(tuple(sorted(set(abar) | (cbar - {c}) | set(rho))))
     out = LatticeFan(f.rank, f.rays, new_cones)
+    _inherit_cone_data(out, f, range(f.n_rays))
+    if flipped is not None:
+        _inherit_cone_data(out, flipped, range(flipped.n_rays))
     report = out.validation
     if not report.ok:
         raise FlipError(f"surgery output invalid: {report}")
@@ -197,7 +204,7 @@ def flip(f: LatticeFan, spec: FlipSpec) -> LatticeFan:
         out = contract(mid, BlowdownSpec(down))
     except (PreconditionError, ContractionError) as e:
         raise FlipError(f"flip of {rel.describe(f)} failed: {e}") from e
-    surgery = _flip_by_surgery(f, spec)
+    surgery = _flip_by_surgery(f, spec, out)
     if out != surgery:
         raise FlipError(
             f"flip cross-check failed for {rel.describe(f)}: blowup/blowdown and "

@@ -137,8 +137,12 @@ def anticanonical_degree(f: LatticeFan, curve: CurveClass) -> int:
 def screen_2fano(f: LatticeFan) -> tuple[list[tuple[ConeRef, Fraction]], Fraction]:
     """ch2 against every torus-invariant surface, with the minimum.
 
-    A nonpositive minimum certifies the fan is not 2-Fano; a positive minimum
-    is only a necessary condition (non-invariant surfaces are not screened).
+    A nonpositive minimum certifies the fan is not 2-Fano.  On a Fano fan a
+    positive minimum means 2-Fano: every effective cycle on a complete toric
+    variety is rationally equivalent to a nonnegative combination of
+    invariant ones (Fulton-MacPherson-Sottile-Sturmfels 1995), and the class
+    of a surface is nonzero, so ch2 is positive on every surface exactly
+    when it is positive on every V(tau).
     """
     f.require_valid()
     if f.rank < 2:

@@ -122,7 +122,7 @@ def _cmd_screen(args) -> int:
         print(f"  ch2 . V({label}) = {value}")
     print(f"minimum: {minimum}")
     print("not 2-Fano (invariant surface witness)" if minimum <= 0 else
-          "no invariant-surface obstruction (necessary condition only)")
+          "2-Fano if the fan is Fano (invariant surfaces generate the effective cycles)")
     return 0
 
 

@@ -9,7 +9,14 @@ a ray set is a cone iff the AND of its masks is nonzero.  Point queries
 (``spans_cone``, ``wall_neighbors``) read the masks; the set of all faces
 and the minimal non-faces come from one depth-first walk over the faces
 (``LatticeFan.faces``, ``LatticeFan.minimal_nonfaces``), whose cost grows
-with faces x rays.
+with faces x the rays that share a cone with every ray of the face.
+
+Per-cone data (determinants, dual bases) may be handed from a fan to the fan
+a surgery builds from it (``star_subdivision``, ``contract``, ``flip``): an
+entry moves to a maximal cone of the new fan only when that cone's ray
+vectors, row by row, equal those of the cone it came from, so it is the
+same matrix and the same value.  Everything else is derived afresh, and
+every surgery output is still validated in full.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import lattice
@@ -58,8 +66,10 @@ def _canon_cones(cones: Iterable[Iterable[int]]) -> tuple[ConeRef, ...]:
 
 class LatticeFan:
     """Immutable fan; all derived data (ray cone masks, face set, minimal
-    non-faces, dual bases, wall and primitive relations) is computed on
-    first use and kept."""
+    non-faces, cone determinants, dual bases, wall and primitive relations)
+    is computed on first use and kept.  A surgery output starts with the
+    determinants and dual bases that the fan it was built from holds for
+    the cones they share, ray vectors included (``_inherit_cone_data``)."""
 
     def __init__(
         self,
@@ -141,22 +151,35 @@ class LatticeFan:
         iff the AND of the ray masks is nonzero.  Otherwise it is a non-face,
         minimal iff every F | u - x (x in F) is a face; those have smaller
         bitmasks than F, so the walk has already met them.  Each minimal
-        non-face P is found once, from the face P minus its lowest ray."""
+        non-face P is found once, from the face P minus its lowest ray.
+
+        When |F| >= 2, only the rays u that share a cone with every ray x of
+        F are tried: otherwise {x, u} is a non-face properly inside F | u,
+        which is then neither a face nor a minimal non-face."""
         n = self.n_rays
         masks = [self.ray_cones.get(u, 0) for u in range(n)]
+        near = [0] * n  # per ray, the rays sharing a maximal cone with it
+        for cone in self.max_cones:
+            rays = ray_mask(cone)
+            for u in cone:
+                near[u] |= rays
         faces: set[int] = set()
         nonfaces = []
-        # (face, its lowest ray or n for the zero cone, AND of its masks);
-        # children are pushed highest ray first so the walk pops ascending
-        stack = [(0, n, (1 << len(self.max_cones)) - 1)]
+        # (face, its lowest ray or n for the zero cone, AND of its masks,
+        # AND of its rays' neighbours); children are pushed highest ray
+        # first so the walk pops ascending
+        stack = [(0, n, (1 << len(self.max_cones)) - 1, -1)]
         while stack:
-            face, low, common = stack.pop()
+            face, low, common, shared_near = stack.pop()
             faces.add(face)
-            for u in range(low - 1, -1, -1):
+            todo = (shared_near if face & (face - 1) else -1) & ((1 << low) - 1)
+            while todo:
+                u = todo.bit_length() - 1
+                todo ^= 1 << u
                 ext = face | 1 << u
                 shared = common & masks[u]
                 if shared:
-                    stack.append((ext, u, shared))
+                    stack.append((ext, u, shared, shared_near & near[u]))
                     continue
                 rest = face
                 while rest:
@@ -179,6 +202,10 @@ class LatticeFan:
         """Bitmasks of the minimal non-faces (the primitive collections), in
         ascending order."""
         return self._face_walk[1]
+
+    @cached_property
+    def _cone_dets(self) -> dict[ConeRef, int]:
+        return {}
 
     @cached_property
     def _dual_bases(self) -> dict[ConeRef, tuple[IntVector, ...]]:
@@ -218,6 +245,34 @@ class LatticeFan:
         return LatticeFan(self.rank, [r.vector for r in self.rays], self.max_cones, labels)
 
 
+def _inherit_cone_data(child: LatticeFan, parent: LatticeFan, index_map: Sequence[int | None]) -> None:
+    """Seed the child's cone determinants and dual bases with the parent's.
+
+    ``index_map[i]`` is the child index of parent ray i (None if the ray is
+    gone).  An entry of a parent maximal cone moves only when its image is
+    a maximal cone of the child whose ray vectors, row by row, equal the
+    parent cone's, so a wrong map can only lose entries, never give a cone
+    the determinant or inverse of another matrix."""
+    vectors = [r.vector for r in child.rays]
+    same = [
+        j is not None and 0 <= j < len(vectors) and vectors[j] == r.vector
+        for r, j in zip(parent.rays, index_map)
+    ]
+    child_cones = set(child.max_cones)
+    dets, duals = parent._cone_dets, parent._dual_bases
+    for cone in parent.max_cones:
+        if not all(map(same.__getitem__, cone)):
+            continue
+        image = tuple(map(index_map.__getitem__, cone))
+        if image not in child_cones:
+            continue
+        det, dual = dets.get(cone), duals.get(cone)
+        if det is not None:
+            child._cone_dets.setdefault(image, det)
+        if dual is not None:
+            child._dual_bases.setdefault(image, dual)
+
+
 def ray_mask(indices: Iterable[int]) -> int:
     """Bitmask with bit i set for each ray index i."""
     m = 0
@@ -234,7 +289,8 @@ def validate(f: LatticeFan) -> ValidationReport:
     opposite sides of it, and the adjacency graph must be connected.  The
     side of the ray u at position p of a sorted cone c is the sign of
     det(c) * (-1)^(n-1-p), read from the determinants the unimodularity
-    check computes.  Together these make the cones a pseudomanifold that
+    check computes and keeps in ``f._cone_dets`` (where a surgery may have
+    handed some over).  Together these make the cones a pseudomanifold that
     covers R^n with a consistent orientation; what stays unchecked is a
     consistently oriented cover of degree >= 2 (cones winding more than
     once around the origin).  Never raises; downstream operations reject
@@ -256,14 +312,15 @@ def validate(f: LatticeFan) -> ValidationReport:
             failures.append(f"duplicate ray vector at {seen_vectors[ray.vector]} and {ray.index}")
         seen_vectors.setdefault(ray.vector, ray.index)
 
-    dets: dict[ConeRef, int] = {}
+    dets = f._cone_dets
+    n_rays = f.n_rays
     if len(set(f.max_cones)) != len(f.max_cones):
         failures.append("duplicate maximal cones")
     if not f.max_cones:
         failures.append("no maximal cones")
 
     for cone in f.max_cones:
-        if any(i < 0 or i >= f.n_rays for i in cone):
+        if any(i < 0 or i >= n_rays for i in cone):
             failures.append(f"cone {cone} has out-of-range ray indices")
             continue
         if len(cone) != n:
@@ -271,9 +328,11 @@ def validate(f: LatticeFan) -> ValidationReport:
             continue
         if not rays_well_shaped:
             continue
-        dets[cone] = lattice.determinant([f.vector(i) for i in cone])
-        if dets[cone] not in (1, -1):
-            failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {dets[cone]})")
+        det = dets.get(cone)
+        if det is None:
+            det = dets[cone] = lattice.determinant([f.vector(i) for i in cone])
+        if det not in (1, -1):
+            failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {det})")
 
     if not failures:
         # wall -> [(owner cone, side of the owner's opposite ray)]
@@ -390,6 +449,7 @@ def star_subdivision(f: LatticeFan, center: Iterable[int], label: str | None = N
         else:
             cones.append(cone)
     out = LatticeFan(f.rank, rays, cones)
+    _inherit_cone_data(out, f, range(f.n_rays))
     out.require_valid()
     return out
 
@@ -440,8 +500,11 @@ def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
             cols = tuple(tuple(f.vector(w)[d] for w in wall) for d in range(f.rank))
             sol = lattice.solve_integer_system(cols, target)
         else:
-            coords = {i: lattice.dot(m, target) for i, m in zip(host, duals)}
-            sol = lattice.NO_SOLUTION if coords[u1] else tuple(coords[w] for w in wall)
+            coords = [sum(map(mul, m, target)) for m in duals]
+            sol = (
+                lattice.NO_SOLUTION if coords[host.index(u1)]
+                else tuple(coords[host.index(w)] for w in wall)
+            )
         if not isinstance(sol, tuple):
             raise FanValidationError(
                 f"wall {f.cone_labels(wall)} has no integral relation ({sol})"

@@ -10,6 +10,7 @@ non-integrality signal.  No floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ShapeError
@@ -209,9 +210,12 @@ def check_inverse(m: Sequence[Sequence[int]], inverse: Sequence[Sequence[int]]) 
     """Raise ArithmeticError unless m @ inverse is the identity.  A failure
     is a defect of this module, not of the input."""
     n = len(m)
+    cols = list(zip(*inverse))
+    if len(inverse) != n or len(cols) != n:
+        raise ArithmeticError("integer inverse failed the B @ M = I check")
     for i, row in enumerate(m):
-        for j in range(n):
-            if sum(row[k] * inverse[k][j] for k in range(n)) != (i == j):
+        for j, col in enumerate(cols):
+            if sum(map(mul, row, col)) != (i == j):
                 raise ArithmeticError("integer inverse failed the B @ M = I check")
 
 

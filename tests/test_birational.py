@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfans.birational import (
     BlowdownSpec,
@@ -14,8 +15,9 @@ from toricfans.birational import (
     reverse_spec,
     _flip_by_surgery,
 )
-from toricfans.errors import DisjointnessError, PreconditionError
-from toricfans.fan import spans_cone
+from toricfans import birational
+from toricfans.errors import ContractionError, DisjointnessError, FlipError, PreconditionError
+from toricfans.fan import spans_cone, star_subdivision, validate
 from toricfans.primitive import (
     primitive_collections,
     primitive_relation,
@@ -26,6 +28,7 @@ from toricfans.primitive import (
 from fixtures import (
     b3,
     bl_pt_p2,
+    blowdown_tower,
     fan_2170,
     fan_2268,
     fivefold,
@@ -39,6 +42,8 @@ from fixtures import (
     rel_of,
 )
 from oracles import pc_after_blowdown, pc_after_blowup
+from test_enumerator import blown_up_fans
+from test_fan import assert_cone_data_exact, counting_determinants, fresh, new_cones, warm
 
 
 class TestContractible:
@@ -239,3 +244,126 @@ def test_contractibility_descends_through_blowup():
         if is_contractible(up, rel_up):
             rel_down = primitive_relation(f, tuple(sorted(p)))
             assert is_contractible(f, rel_down)
+
+
+def _blowdowns(f):
+    return [
+        r for r in primitive_relations(f)
+        if len(r.focus) == 1 and r.coefficients == (1,) and is_contractible(f, r)
+    ]
+
+
+def _flips(f):
+    return [
+        r for r in primitive_relations(f)
+        if len(r.collection) >= 2 and len(r.focus) >= 2 and set(r.coefficients) == {1}
+        and is_contractible(f, r)
+    ]
+
+
+class TestInheritedConeData:
+    """Surgery outputs start with the determinants and dual bases of the
+    cones they keep; each must be the value of a fresh fan."""
+
+    # fan_2268, fivefold(550) and the tower have blowdowns of a ray below
+    # others, so the kept cones' indices shift
+    @pytest.mark.parametrize(
+        "fan", [b3(), bl_pt_p2(), fan_2268(), fivefold(550), blowdown_tower()[1]]
+    )
+    def test_every_blowdown_hands_over_kept_cones(self, fan):
+        rels = _blowdowns(fan)
+        assert rels
+        for rel in rels:
+            warm(fan)
+            with counting_determinants() as det:
+                out = contract(fan, BlowdownSpec(rel))
+            assert det.call_count == len(new_cones(fan, out))
+            assert_cone_data_exact(fan, out)
+
+    @pytest.mark.parametrize("name", ["4d", "6d", "2268"])
+    def test_flip_outputs_hand_over_kept_cones(self, name):
+        if name == "2268":
+            f = fan_2268()
+            f = contract(f, BlowdownSpec(rel_of(f, ("y0", "b"))))
+            rels = [rel_of(f, ("x0", "x1", "x2", "b"))]
+        else:
+            _, f, cent = flip_fixture_4d() if name == "4d" else flip_fixture_6d()
+            rels = [r for _, _, r in relevant_collections(f, cent)]
+        for rel in rels:
+            warm(f)
+            mid = star_subdivision(f, rel.focus)
+            with counting_determinants() as det:
+                out = flip(f, FlipSpec(rel))
+            # the blowup's and the blowdown's new cones; the surgery output
+            # reads all of its determinants from f and out
+            assert det.call_count == len(new_cones(f, mid)) + len(new_cones(mid, out))
+            assert_cone_data_exact(f, out)
+            surgery = _flip_by_surgery(f, FlipSpec(rel), out)
+            assert set(surgery._cone_dets) == set(surgery.max_cones)
+            assert_cone_data_exact(f, surgery)
+
+    @given(
+        blown_up_fans(),
+        st.lists(
+            st.tuples(st.sampled_from(["blowup", "contract", "flip"]), st.integers(0, 10**6), st.integers(0, 10**6)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_surgery_sequences(self, fan, steps):
+        cur = fan
+        for kind, pick, size_pick in steps:
+            if size_pick % 3:
+                warm(cur)  # otherwise only what earlier steps left behind
+            if kind == "blowup":
+                if cur.n_rays >= 16:
+                    continue
+                cone = cur.max_cones[pick % len(cur.max_cones)]
+                out = star_subdivision(cur, cone[: 2 + size_pick % (cur.rank - 1)])
+            else:
+                rels = _blowdowns(cur) if kind == "contract" else _flips(cur)
+                if not rels:
+                    continue
+                rel = rels[pick % len(rels)]
+                out = contract(cur, BlowdownSpec(rel)) if kind == "contract" else flip(cur, FlipSpec(rel))
+            assert_cone_data_exact(cur, out)
+            cur = out
+
+    def test_invalid_contraction_output_reports_as_fresh(self, monkeypatch):
+        # drop one merged cone before the output is built: the output is
+        # invalid, and its report is that of a fan with empty caches
+        built = []
+        drop_ray = birational._drop_ray
+
+        def dropping(f, removed, cones):
+            built.append(drop_ray(f, removed, sorted(cones)[1:]))
+            return built[-1]
+
+        monkeypatch.setattr(birational, "_drop_ray", dropping)
+        f, _ = blowup(b3(), (0, 1))
+        warm(f)
+        with pytest.raises(ContractionError) as err:
+            contract(f, BlowdownSpec(primitive_relation(f, (0, 1))))
+        (out,) = built
+        assert out._cone_dets
+        assert str(err.value) == f"contraction output invalid: {validate(fresh(out))}"
+
+    def test_invalid_surgery_output_reports_as_fresh(self, monkeypatch):
+        _, xp, cent = flip_fixture_4d()
+        rel = next(r for _, _, r in relevant_collections(xp, cent))
+        warm(xp)
+        flipped = flip(xp, FlipSpec(rel))
+        built = []
+        fan_class = birational.LatticeFan
+
+        def short(rank, rays, cones):
+            built.append(fan_class(rank, rays, cones[:-1]))
+            return built[-1]
+
+        monkeypatch.setattr(birational, "LatticeFan", short)
+        with pytest.raises(FlipError) as err:
+            _flip_by_surgery(xp, FlipSpec(rel), flipped)
+        (out,) = built
+        assert out._cone_dets
+        assert str(err.value) == f"surgery output invalid: {validate(fresh(out))}"

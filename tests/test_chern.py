@@ -229,6 +229,13 @@ class TestScreen:
     def test_fivefold_nonpositive(self):
         assert screen_2fano(fivefold(550))[1] <= 0
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_projective_space_is_2fano(self, d):
+        # ch2(P^d) = (d+1)/2 H^2, and H^2 . V(tau) = 1 on every invariant plane
+        rows, minimum = screen_2fano(pn(d))
+        assert len(rows) == len(faces_of_dim(pn(d), d - 2))
+        assert {value for _, value in rows} == {Fraction(d + 1, 2)} == {minimum}
+
     def test_rows_cover_all_surfaces(self):
         f = b3()
         rows, _ = screen_2fano(f)

@@ -108,6 +108,7 @@ class TestScreen:
         assert main(["screen", fan_file(p2())]) == 0
         out = capsys.readouterr().out
         assert "minimum: 3/2" in out
+        assert out.splitlines()[-1] == "2-Fano if the fan is Fano (invariant surfaces generate the effective cycles)"
 
     def test_b3_flags_non_2fano(self, fan_file, capsys):
         assert main(["screen", fan_file(b3())]) == 0

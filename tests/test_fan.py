@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from toricfans.chern import ch2_dot_invariant_surface, screen_2fano
 from toricfans.errors import FanValidationError, PreconditionError
 from toricfans.fan import (
     LatticeFan,
+    _inherit_cone_data,
     faces_of_dim,
     is_projective,
     locate,
@@ -253,6 +255,55 @@ class TestLocate:
             assert locate(f, p) == (rel.focus, rel.coefficients)
 
 
+def rows(f, cone):
+    return tuple(f.vector(i) for i in cone)
+
+
+def new_cones(parent, out):
+    """The maximal cones of out whose ray vectors are not those of a
+    maximal cone of parent."""
+    old = {rows(parent, c) for c in parent.max_cones}
+    return [c for c in out.max_cones if rows(out, c) not in old]
+
+
+def warm(f):
+    """Validate f and invert every maximal cone, so each has cone data to
+    hand over."""
+    assert validate(f).ok
+    for cone in f.max_cones:
+        f.dual_basis(cone)
+
+
+def assert_entries_exact(out):
+    """Every determinant and dual basis out holds belongs to one of its
+    maximal cones and equals a recomputation on an equal fan with empty
+    caches, and validate reports the same on both."""
+    again = fresh(out)
+    assert validate(out) == validate(again)
+    assert set(out._cone_dets) <= set(out.max_cones)
+    assert set(out._dual_bases) <= set(out.max_cones)
+    for cone, det in out._cone_dets.items():
+        assert det == lattice.determinant(rows(again, cone)) == again._cone_dets[cone], cone
+    for cone, duals in out._dual_bases.items():
+        assert duals == again.dual_basis(cone), cone
+
+
+def assert_cone_data_exact(parent, out):
+    """assert_entries_exact, and each maximal cone of out with the ray
+    vectors of an inverted maximal cone of parent holds that cone's dual
+    basis object: handed over, not recomputed."""
+    assert_entries_exact(out)
+    by_rows = {rows(parent, c): c for c in parent.max_cones}
+    for cone in out.max_cones:
+        source = by_rows.get(rows(out, cone))
+        if source in parent._dual_bases:
+            assert out._dual_bases.get(cone) is parent._dual_bases[source], cone
+
+
+def counting_determinants():
+    return mock.patch.object(lattice, "determinant", wraps=lattice.determinant)
+
+
 class TestStarSubdivision:
     def test_p3_to_b3(self):
         sub = star_subdivision(p3(), (1, 2), label="b")
@@ -284,6 +335,60 @@ class TestStarSubdivision:
                 assert len(sub.max_cones) == len(fan.max_cones) + through * (len(center) - 1)
 
 
+class TestInheritedConeData:
+    @pytest.mark.parametrize("fan", ZOO + [fivefold(550), sixfold(333)])
+    def test_star_subdivision_hands_over_kept_cones(self, fan):
+        warm(fan)
+        for cone in fan.max_cones[:4]:
+            for size in range(2, fan.rank + 1):
+                with counting_determinants() as det:
+                    sub = star_subdivision(fan, cone[:size])
+                # validate computed only the cones the subdivision made
+                assert det.call_count == len(new_cones(fan, sub)) > 0
+                assert set(sub._cone_dets) == set(sub.max_cones)
+                assert_cone_data_exact(fan, sub)
+
+    def test_changed_vectors_are_not_handed_over(self):
+        # same indices, same cones, one ray doubled: every cone through it
+        # must be recomputed, and validate must see its determinant
+        f = b3()
+        warm(f)
+        rays = [r.vector for r in f.rays]
+        rays[2] = tuple(2 * x for x in rays[2])
+        child = LatticeFan(f.rank, rays, f.max_cones)
+        _inherit_cone_data(child, f, range(f.n_rays))
+        assert set(child._cone_dets) == {c for c in f.max_cones if 2 not in c}
+        assert set(child._dual_bases) == set(child._cone_dets)
+        report = validate(child)
+        assert not report.ok and "is not unimodular (det" in str(report)
+        assert report == validate(fresh(child))
+
+    def test_a_wrong_map_only_loses_entries(self):
+        # a shifted map sends sorted cones to sorted cones with other rows;
+        # the row check must keep every such entry out
+        f = fivefold(550)
+        warm(f)
+        n = f.n_rays
+        for index_map in ([(i + 1) % n for i in range(n)], [n - 1 - i for i in range(n)], [None] * n):
+            child = fresh(f)
+            _inherit_cone_data(child, f, index_map)
+            assert_entries_exact(child)
+            assert validate(child) == validate(f)
+        child = fresh(f)
+        _inherit_cone_data(child, f, range(n))
+        assert_cone_data_exact(f, child)
+        assert set(child._dual_bases) == set(f.max_cones)
+
+    def test_invalid_child_reports_as_fresh(self):
+        f = b3()
+        warm(f)
+        missing = LatticeFan(f.rank, f.rays, f.max_cones[1:])
+        _inherit_cone_data(missing, f, range(f.n_rays))
+        assert len(missing._cone_dets) == len(f.max_cones) - 1
+        assert not validate(missing).ok
+        assert validate(missing) == validate(fresh(missing))
+
+
 class TestFaces:
     def test_p2_dims(self):
         assert faces_of_dim(p2(), 1) == [(0,), (1,), (2,)]
@@ -311,6 +416,11 @@ class TestWalls:
     def test_not_a_wall(self):
         with pytest.raises(PreconditionError):
             wall_neighbors(b3(), (1, 2))  # a primitive collection, not a face
+
+    @pytest.mark.parametrize("f", [b3(), fivefold(550), nonprojective_3fold()])
+    def test_wall_order_does_not_matter(self, f):
+        for wall in faces_of_dim(f, f.rank - 1):
+            assert wall_relation(fresh(f), wall[::-1]) == wall_relation(f, wall) == wall_relation_reference(f, wall)
 
     @pytest.mark.parametrize("f", ZOO + [fivefold(550)])
     def test_memoised_relation_matches_fresh(self, f):

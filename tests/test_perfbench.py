@@ -49,3 +49,12 @@ def test_contractibility_on_the_reduce_corpus(reduce_corpus):
             assert is_contractible(f, rel) == oracles.is_contractible(f, rel), rel
             checked += 1
     assert checked > len(reduce_corpus)
+
+
+def test_face_walk_on_every_benchmark_fan():
+    # the walk prunes by neighbours; the submask build tries every ray
+    corpus = _load("corpus")
+    fans = corpus.classify_corpus() + corpus.large_fans()
+    assert len(fans) == 224
+    for name, f in fans:
+        assert (f.faces, f.minimal_nonfaces) == oracles.faces_by_submasks(f), name
