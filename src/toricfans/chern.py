@@ -1,6 +1,8 @@
 """Toric intersection theory on smooth complete fans: curve/divisor pairings,
 divisor-times-orbit reduction, ch2 against torus-invariant surfaces (one walk
-around each surface's link, read from the memoised wall relations), and the
+around each surface's link: each step looks its wall up by ray bitmask in the
+fan's wall table and wall-relation memo; a link that winds more than once,
+which ``validate`` lets through, is rejected by Noether's formula), and the
 numeric screens.
 
 All arithmetic is exact: big-integer curve classes and Fraction-valued cycle
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import FanValidationError, PreconditionError
-from .fan import ConeRef, LatticeFan, faces_of_dim, spans_cone, wall_relation
+from .fan import ConeRef, LatticeFan, _cones_containing, faces_of_dim, ray_mask, spans_cone, wall_relation
 from .primitive import CurveClass
 
 
@@ -96,34 +98,51 @@ def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
     restricted to the smooth toric surface S = V(tau).
 
     One walk around the link of tau visits its rays w_0 .. w_{k-1} in cyclic
-    order; the wall relation a_i of tau + w_i gives C_i = V(tau + w_i) on S
-    its self-intersection a_i[w_i], and gives V(v).C_i = a_i[v] for v in tau.
-    Writing V(t)|_S = sum d_i C_i with d_0 = d_1 = 0 (linear equivalence),
-    the toric surface relation d_{i-1} + d_{i+1} + a_i[w_i] d_i = a_i[t]
-    fixes the rest, and V(t)|_S^2 = sum d_i a_i[t].  Integer throughout."""
+    order, starting in a maximal cone containing tau; each step looks the
+    wall tau + w_i up by its ray bitmask in the fan's wall table (the next
+    ray is its other opposite ray) and in the memo of wall relations.  The
+    wall relation a_i gives C_i = V(tau + w_i) on S its self-intersection
+    a_i[w_i], and gives V(v).C_i = a_i[v] for v in tau.  Noether's formula
+    for a smooth complete toric surface requires sum a_i[w_i] = 12 - 3k; a
+    link winding d times around tau gives 12d - 3k and is rejected.  Writing
+    V(t)|_S = sum d_i C_i with d_0 = d_1 = 0 (linear equivalence), the toric
+    surface relation d_{i-1} + d_{i+1} + a_i[w_i] d_i = a_i[t] fixes the
+    rest, and V(t)|_S^2 = sum d_i a_i[t].  Integer throughout."""
     tau = tuple(sorted(tau))
     if len(tau) != f.rank - 2:
         raise PreconditionError(f"invariant surfaces are cut by (n-2)-cones, got dim {len(tau)}")
     if not spans_cone(f, tau):
         raise PreconditionError(f"{f.cone_labels(tau)} does not span a cone")
     f.require_valid()
-    start = next(w for w in range(f.n_rays) if w not in tau and spans_cone(f, tau + (w,)))
-    link, rels = [], []
+    tau_bits = ray_mask(tau)
+    walls, relations = f.walls, f._wall_relations
+    cones = _cones_containing(f, tau)
+    start = next(w for w in f.max_cones[(cones & -cones).bit_length() - 1] if not tau_bits >> w & 1)
+    link, rels, n = [], [], f.n_rays
     prev, cur = None, start
     while not link or cur != start:
-        if len(link) == f.n_rays:
+        if len(link) == n:
             raise FanValidationError(f"the link of {f.cone_labels(tau)} does not close")
-        wall = tuple(sorted(tau + (cur,)))
-        a = wall_relation(f, wall)
+        wall = tau_bits | 1 << cur
+        a = relations.get(wall)
+        if a is None:
+            a = wall_relation(f, tau + (cur,))
         link.append(cur)
         rels.append(a)
-        prev, cur = cur, next(u for u, c in enumerate(a) if c and u != prev and u not in wall)
-    total = sum(a[w] for w, a in zip(link, rels))
+        u, v = walls[wall]
+        prev, cur = cur, v if u == prev else u
+    squares = [a[w] for w, a in zip(link, rels)]
+    total = sum(squares)
+    if total != 12 - 3 * len(link):
+        raise FanValidationError(
+            f"the link of {f.cone_labels(tau)} winds more than once: its {len(link)} curves "
+            f"have self-intersections summing to {total}, not {12 - 3 * len(link)} (Noether's formula)"
+        )
     for t in tau:
-        d = [0, 0]
+        before, d = 0, 0  # d_{i-1} and d_i, from d_0 = d_1 = 0
         for i in range(1, len(link) - 1):
-            d.append(rels[i][t] - d[i - 1] - rels[i][link[i]] * d[i])
-        total += sum(di * a[t] for di, a in zip(d, rels))
+            before, d = d, rels[i][t] - before - squares[i] * d
+            total += d * rels[i + 1][t]
     return Fraction(total, 2)
 
 

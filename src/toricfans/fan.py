@@ -5,11 +5,16 @@ A LatticeFan stores ray generators in Z^n plus the maximal cones as sorted
 index tuples.  The cones of lower dimension are exactly the subsets of
 maximal cones (simpliciality).  The face index is, per ray, the bitmask of
 the maximal cones (by position) that contain it (``LatticeFan.ray_cones``):
-a ray set is a cone iff the AND of its masks is nonzero.  Point queries
-(``spans_cone``, ``wall_neighbors``) read the masks; the set of all faces
-and the minimal non-faces come from one depth-first walk over the faces
-(``LatticeFan.faces``, ``LatticeFan.minimal_nonfaces``), whose cost grows
-with faces x the rays that share a cone with every ray of the face.
+a ray set is a cone iff the AND of its masks is nonzero.  ``spans_cone``
+reads the masks; the set of all faces and the minimal non-faces come from one
+depth-first walk over the faces (``LatticeFan.faces``,
+``LatticeFan.minimal_nonfaces``), whose cost grows with faces x the rays that
+share a cone with every ray of the face.  The wall table
+(``LatticeFan.walls``) maps each wall's ray bitmask to its opposite rays; it
+is the only wall structure that ``wall_neighbors``, ``wall_relation`` (whose
+memo is keyed by the same bitmask) and the ch2 link walk read.  ``validate``
+keeps its own pairing, which records each owner's side and runs on malformed
+fans.
 
 Per-cone data (determinants, dual bases) may be handed from a fan to the fan
 a surgery builds from it (``star_subdivision``, ``contract``, ``flip``): an
@@ -144,6 +149,20 @@ class LatticeFan:
         return masks
 
     @cached_property
+    def walls(self) -> dict[int, list[int]]:
+        """The wall table: per ray bitmask of an (n-1)-subset of a maximal
+        cone, the rays that complete it to the maximal cones containing it
+        (two for every wall of a valid fan), in ``max_cones`` order.  One
+        pass over the cones, each clearing one bit per ray.  A negative
+        index raises ValueError (a negative shift).  Read-only."""
+        table: dict[int, list[int]] = {}
+        for cone in self.max_cones:
+            rays = ray_mask(cone)
+            for u in cone:
+                table.setdefault(rays ^ 1 << u, []).append(u)
+        return table
+
+    @cached_property
     def _face_walk(self) -> tuple[set[int], tuple[int, ...]]:
         """One depth-first walk over the faces in ascending bitmask order.
 
@@ -212,7 +231,9 @@ class LatticeFan:
         return {}
 
     @cached_property
-    def _wall_relations(self) -> dict[ConeRef, tuple[int, ...]]:
+    def _wall_relations(self) -> dict[int, tuple[int, ...]]:
+        """wall_relation's memo, keyed by the wall's ray bitmask; the ch2
+        link walk reads it directly."""
         return {}
 
     @cached_property
@@ -343,12 +364,14 @@ def validate(f: LatticeFan) -> ValidationReport:
             for wall in combinations(cone, n - 1):
                 wall_count.setdefault(wall, []).append((cone, side))
                 side = -side
-        for wall, owners in sorted(wall_count.items()):
+        # only the failing walls are sorted, for the report's order
+        bad = sorted((w, o) for w, o in wall_count.items() if len(o) != 2 or o[0][1] == o[1][1])
+        for wall, owners in bad:
             if len(owners) != 2:
                 failures.append(
                     f"wall {f.cone_labels(wall)} appears in {len(owners)} maximal cone(s), expected 2"
                 )
-            elif owners[0][1] == owners[1][1]:
+            else:
                 failures.append(
                     f"wall {f.cone_labels(wall)} is folded: both of its maximal cones lie on one side"
                 )
@@ -466,17 +489,14 @@ def faces_of_dim(f: LatticeFan, d: int) -> list[ConeRef]:
 
 
 def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
-    """The two rays completing a wall ((n-1)-cone) to its maximal cones:
-    the rays outside it whose cone mask meets the AND of the wall's."""
-    w = ray_mask(wall)
-    masks = f.ray_cones
-    common = _cones_containing(f, wall)
-    others = [u for u in range(f.n_rays) if not w >> u & 1 and masks.get(u, 0) & common]
+    """The two rays completing a wall ((n-1)-cone) to its maximal cones,
+    read from the fan's wall table (rays past the last index left out)."""
+    others = sorted({u for u in f.walls.get(ray_mask(wall), ()) if u < f.n_rays})
     if len(others) != 2:
         raise PreconditionError(
             f"wall {f.cone_labels(wall)} is shared by {len(others)} maximal cones, expected 2"
         )
-    return tuple(sorted(others))
+    return tuple(others)
 
 
 def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
@@ -484,41 +504,37 @@ def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
     normalized to +1 on the two rays opposite the wall.
 
     The wall coefficients are the coordinates of -(u1 + u2) in the basis of
-    the cone wall + u1, whose u1 coordinate must vanish.  Memoised per wall
-    on the fan."""
+    the cone wall + u1, whose u1 coordinate must vanish.  Memoised on the
+    fan by the wall's ray bitmask."""
     wall = tuple(wall)
-    alpha = f._wall_relations.get(wall)
+    key = ray_mask(wall)
+    alpha = f._wall_relations.get(key)
     if alpha is not None:
         return alpha
     u1, u2 = wall_neighbors(f, wall)
     target = [-(a + b) for a, b in zip(f.vector(u1), f.vector(u2))]
+    alpha = [0] * f.n_rays
     if wall:
         host = tuple(sorted(wall + (u1,)))
         try:
             duals = f.dual_basis(host)
         except ToricError:  # the host cone is not unimodular: an invalid fan
             cols = tuple(tuple(f.vector(w)[d] for w in wall) for d in range(f.rank))
-            sol = lattice.solve_integer_system(cols, target)
+            basis, sol = wall, lattice.solve_integer_system(cols, target)
         else:
-            coords = [sum(map(mul, m, target)) for m in duals]
-            sol = (
-                lattice.NO_SOLUTION if coords[host.index(u1)]
-                else tuple(coords[host.index(w)] for w in wall)
-            )
-        if not isinstance(sol, tuple):
+            basis, sol = host, [sum(map(mul, m, target)) for m in duals]
+            if sol[host.index(u1)]:
+                sol = lattice.NO_SOLUTION
+        if isinstance(sol, str):
             raise FanValidationError(
                 f"wall {f.cone_labels(wall)} has no integral relation ({sol})"
             )
-    else:
-        sol = ()
-        if any(t != 0 for t in target):
-            raise FanValidationError("opposite rays of an empty wall must cancel")
-    alpha = [0] * f.n_rays
-    alpha[u1] += 1
-    alpha[u2] += 1
-    for w, c in zip(wall, sol):
-        alpha[w] = c
-    alpha = f._wall_relations[wall] = tuple(alpha)
+        for v, c in zip(basis, sol):  # u1's coordinate 0 is overwritten below
+            alpha[v] = c
+    elif any(t != 0 for t in target):
+        raise FanValidationError("opposite rays of an empty wall must cancel")
+    alpha[u1] = alpha[u2] = 1
+    alpha = f._wall_relations[key] = tuple(alpha)
     return alpha
 
 

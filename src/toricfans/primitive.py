@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattice
-from .errors import PreconditionError
+from .errors import FanValidationError, PreconditionError
 from .fan import ConeRef, LatticeFan, ZERO_CONE, locate, spans_cone
 from .lattice import IntVector
 
@@ -83,7 +83,11 @@ def primitive_relation(f: LatticeFan, p: ConeRef) -> PrimitiveRelation:
         raise PreconditionError(f"{f.cone_labels(s)} is not a primitive collection")
     total = lattice.vec_sum([f.vector(i) for i in s], f.rank)
     focus, coeffs = locate(f, total)
-    assert not set(focus) & set(s), "collection and focus must be disjoint"
+    if set(focus) & set(s):  # Batyrev: never on a fan; validate passes covers of degree >= 2
+        raise FanValidationError(
+            f"primitive collection {f.cone_labels(s)} meets its focus {f.cone_labels(focus)}: "
+            "the cones wind more than once around the origin"
+        )
     alpha = [0] * f.n_rays
     for i in s:
         alpha[i] = 1

@@ -309,6 +309,16 @@ def nonprojective_3fold() -> LatticeFan:
     )
 
 
+def double_cover_surface() -> LatticeFan:
+    """14 unimodular 2-cones (i, i+1 mod 14) that wind twice around the
+    origin: every wall has two owners on opposite sides and the adjacency
+    graph is connected, so ``validate`` passes it, but it is no fan.  The
+    link sums its self-intersections to 12*2 - 3*14 = -18."""
+    rays = [(1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2), (-1, -1),
+            (-2, -3), (-1, -2), (-1, -3), (1, 2), (0, 1), (-1, 1), (0, -1)]
+    return LatticeFan(2, rays, [(i, (i + 1) % 14) for i in range(14)])
+
+
 def centered_of(f: LatticeFan, labels):
     return tuple(sorted(f.label_index[x] for x in labels))
 

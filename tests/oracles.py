@@ -295,6 +295,33 @@ def is_contractible(f, rel):
     return True
 
 
+def ch2_by_link_scan(f, tau):
+    """ch2(X) . V(tau) by the link walk that re-derives each step: the start
+    is the lowest ray w with tau + w a cone (a spans_cone test on every
+    ray), and the next ray is read by scanning the wall relation of the
+    sorted wall tuple.  No winding check."""
+    from toricfans.fan import spans_cone, wall_relation
+
+    tau = tuple(sorted(tau))
+    start = next(w for w in range(f.n_rays) if w not in tau and spans_cone(f, tau + (w,)))
+    link, rels = [], []
+    prev, cur = None, start
+    while not link or cur != start:
+        assert len(link) < f.n_rays, "the link does not close"
+        wall = tuple(sorted(tau + (cur,)))
+        a = wall_relation(f, wall)
+        link.append(cur)
+        rels.append(a)
+        prev, cur = cur, next(u for u, c in enumerate(a) if c and u != prev and u not in wall)
+    total = sum(a[w] for w, a in zip(link, rels))
+    for t in tau:
+        d = [0, 0]
+        for i in range(1, len(link) - 1):
+            d.append(rels[i][t] - d[i - 1] - rels[i][link[i]] * d[i])
+        total += sum(di * a[t] for di, a in zip(d, rels))
+    return Fraction(total, 2)
+
+
 def ch2_by_orbit_reduction(f, tau):
     """ch2(X) . V(tau) by the composed route ch2 = (1/2) sum_v V(v)^2: each
     V(v).V(tau) is reduced to a curve expression and paired with V(v) again

@@ -15,14 +15,14 @@ from toricfans.chern import (
     wall_curve_class,
 )
 from toricfans.errors import FanValidationError, PreconditionError
-from toricfans.fan import LatticeFan, faces_of_dim, star_subdivision
+from toricfans.fan import LatticeFan, faces_of_dim, star_subdivision, wall_relation
 from toricfans.fanio import build_bundle_over_p1
 from toricfans.lattice import solve_integer_system
 from toricfans.primitive import primitive_relation, primitive_relations
 from toricfans.certificate import base_value
 
-from fixtures import b3, bl_pt_p2, fivefold, p1xp1, p2, p3, pn, product_fan, sixfold, small_zoo
-from oracles import ch2_by_orbit_reduction, check_wall_relation
+from fixtures import b3, bl_pt_p2, double_cover_surface, fivefold, p1xp1, p2, p3, pn, product_fan, sixfold, small_zoo
+from oracles import ch2_by_link_scan, ch2_by_orbit_reduction, check_wall_relation
 from test_enumerator import blown_up_fans
 
 
@@ -150,8 +150,11 @@ def blown_up_p2(k: int):
 
 
 def _assert_matches_orbit_reduction(fan):
+    # the scan-based walk runs on a fresh fan, so it derives its own relations
+    scanned = LatticeFan(fan.rank, fan.rays, fan.max_cones)
     for tau in faces_of_dim(fan, fan.rank - 2):
-        assert ch2_dot_invariant_surface(fan, tau) == ch2_by_orbit_reduction(fan, tau), tau
+        value = ch2_dot_invariant_surface(fan, tau)
+        assert value == ch2_by_link_scan(scanned, tau) == ch2_by_orbit_reduction(fan, tau), tau
 
 
 LINK_FANS = [(name, fan) for name, fan, _, _ in small_zoo()] + [
@@ -163,8 +166,9 @@ LINK_FANS = [(name, fan) for name, fan, _, _ in small_zoo()] + [
 
 
 class TestLinkWalk:
-    """The walk around the link of tau against the divisor-times-orbit
-    reduction of ``oracles.ch2_by_orbit_reduction``."""
+    """The walk around the link of tau against the scan-based walk of
+    ``oracles.ch2_by_link_scan`` and the divisor-times-orbit reduction of
+    ``oracles.ch2_by_orbit_reduction``."""
 
     @pytest.mark.parametrize("name,fan", LINK_FANS, ids=[n for n, _ in LINK_FANS])
     def test_matches_orbit_reduction(self, name, fan):
@@ -185,25 +189,46 @@ class TestLinkWalk:
         g = product_fan(f, pn(1))  # ray k is the first ray of the P1 factor
         assert ch2_dot_invariant_surface(g, (k,)) == Fraction(12 - 3 * k, 2)
 
-    def test_walk_that_cannot_close_raises(self, monkeypatch):
-        # a hexagon whose memoised relations on walls r1 and r3 are corrupted
-        # so that the walk from r0 enters the loop r1 -> r2 -> r3 -> r1
+    def test_walk_that_cannot_close_raises(self):
+        # a hexagon whose wall table is corrupted on walls r1 and r3 so that
+        # the walk from r0 enters the loop r1 -> r2 -> r3 -> r1
         rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
         f = LatticeFan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
-        f.require_valid()
-        f._wall_relations[(1,)] = (0, 0, 1, 1, 0, 0)
-        f._wall_relations[(3,)] = (0, 1, 1, 0, 0, 0)
-        # count the steps, so that a walk without its bound fails, not hangs
-        real, steps = chern.wall_relation, []
+        for w in range(f.n_rays):
+            wall_relation(f, (w,))  # the walk reads the true relations from the memo
+        steps = []
+
+        class Counted(dict):
+            # count the steps, so that a walk without its bound fails, not hangs
+            def __getitem__(self, wall):
+                steps.append(wall)
+                assert len(steps) <= 10 * f.n_rays, "the walk did not stop"
+                return super().__getitem__(wall)
+
+        table = Counted(f.walls)
+        table[1 << 1] = [2, 3]
+        table[1 << 3] = [1, 2]
+        f.__dict__["walls"] = table
+        with pytest.raises(FanValidationError, match="does not close"):
+            ch2_dot_invariant_surface(f, ())
+        assert len(steps) == f.n_rays  # r0, then r1 r2 r3 r1 r2 until the bound
+
+    def test_walk_reads_each_wall_relation_once(self, monkeypatch):
+        # the walk looks walls up in the memo: each relation is built on its
+        # wall's first visit, and a second screen builds none
+        real, built = chern.wall_relation, []
 
         def counted(fan, wall):
-            steps.append(wall)
-            assert len(steps) <= 10 * fan.n_rays, "the walk did not stop"
+            built.append(tuple(sorted(wall)))
             return real(fan, wall)
 
         monkeypatch.setattr(chern, "wall_relation", counted)
-        with pytest.raises(FanValidationError, match="does not close"):
-            ch2_dot_invariant_surface(f, ())
+        f = fivefold(550)
+        screen_2fano(f)
+        assert sorted(built) == faces_of_dim(f, f.rank - 1)
+        built.clear()
+        screen_2fano(f)
+        assert built == []
 
 
 class TestDegrees:
@@ -235,6 +260,13 @@ class TestScreen:
         rows, minimum = screen_2fano(pn(d))
         assert len(rows) == len(faces_of_dim(pn(d), d - 2))
         assert {value for _, value in rows} == {Fraction(d + 1, 2)} == {minimum}
+
+    def test_link_that_winds_twice_is_rejected(self):
+        # validate passes the degree-2 cover, which used to screen to (24 - 3*14)/2 = -9
+        f = double_cover_surface()
+        assert f.validation.ok
+        with pytest.raises(FanValidationError, match=r"link of \(\) winds more than once"):
+            screen_2fano(f)
 
     def test_rows_cover_all_surfaces(self):
         f = b3()

@@ -6,7 +6,7 @@ from toricfans.cli import main
 from toricfans.fanio import write_fan
 from toricfans.pipeline import run_step1, verify_output
 
-from fixtures import b3, fivefold, fan_2268, flip_fixture_4d, p2, small_zoo
+from fixtures import b3, double_cover_surface, fivefold, fan_2268, flip_fixture_4d, p2, small_zoo
 
 
 @pytest.fixture()
@@ -36,6 +36,12 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent.fan"]) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "pipeline", "diagnose-m3"])
+    def test_cover_of_degree_two_is_a_domain_error(self, fan_file, capsys, command):
+        # these meet the cover in a primitive relation whose focus meets it
+        assert main([command, fan_file(double_cover_surface())]) == 1
+        assert "meets its focus" in capsys.readouterr().err
 
     def test_fan_without_centered_collection(self, fan_file, capsys):
         from fixtures import nonprojective_3fold
@@ -113,6 +119,11 @@ class TestScreen:
     def test_b3_flags_non_2fano(self, fan_file, capsys):
         assert main(["screen", fan_file(b3())]) == 0
         assert "not 2-Fano" in capsys.readouterr().out
+
+    def test_link_winding_twice_is_a_domain_error(self, fan_file, capsys):
+        assert main(["screen", fan_file(double_cover_surface())]) == 1
+        captured = capsys.readouterr()
+        assert "winds more than once" in captured.err and "minimum" not in captured.out
 
 
 class TestReconstructAndBundle:

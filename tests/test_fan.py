@@ -118,6 +118,27 @@ class TestValidate:
         with pytest.raises(FanValidationError, match="folded"):
             locate(f, (1, 1))
 
+    def test_bad_walls_report_in_wall_order(self):
+        # the cones meet their walls (r1, r2) before (r0, r3) and (r0, r4),
+        # but the report lists failing walls in sorted order
+        p3_rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+        f = LatticeFan(3, p3_rays + [(1, 1, 0)], [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 4)])
+        assert validate(f).failures == (
+            "wall ('r0', 'r2') is folded: both of its maximal cones lie on one side",
+            "wall ('r0', 'r3') appears in 1 maximal cone(s), expected 2",
+            "wall ('r0', 'r4') appears in 1 maximal cone(s), expected 2",
+            "wall ('r1', 'r2') is folded: both of its maximal cones lie on one side",
+            "wall ('r1', 'r3') appears in 1 maximal cone(s), expected 2",
+            "wall ('r1', 'r4') appears in 1 maximal cone(s), expected 2",
+        )
+        f = LatticeFan(3, p3_rays, [(0, 1, 2), (0, 1, 3)])
+        assert validate(f).failures == (
+            "wall ('r0', 'r2') appears in 1 maximal cone(s), expected 2",
+            "wall ('r0', 'r3') appears in 1 maximal cone(s), expected 2",
+            "wall ('r1', 'r2') appears in 1 maximal cone(s), expected 2",
+            "wall ('r1', 'r3') appears in 1 maximal cone(s), expected 2",
+        )
+
     def test_downstream_rejects_invalid(self):
         f = LatticeFan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
         with pytest.raises(FanValidationError):

@@ -236,6 +236,19 @@ class TestBatch:
         assert out.read_text().splitlines()[1] == "p2.fan,,,,,,,,,internal: IndexError: tuple index out of range"
         assert "internal: IndexError" in capsys.readouterr().err
 
+    def test_cover_of_degree_two_is_an_error_row(self, tmp_path):
+        from fixtures import double_cover_surface
+        from toricfans import fanio
+
+        write_fan(double_cover_surface(), tmp_path / "cover.fan")
+        # classify meets the cover in the primitive relations, before the screen
+        row = fanio.classify_file(str(tmp_path / "cover.fan"))
+        assert row.error == (
+            "primitive collection ('r0', 'r10') meets its focus ('r0', 'r1'): "
+            "the cones wind more than once around the origin"
+        )
+        assert not row.internal
+
     def test_row_without_centered_collection(self, tmp_path):
         from fixtures import nonprojective_3fold
 

@@ -1,7 +1,8 @@
 """Tests that read the benchmark under perfbench/ (loaded from its files,
-never changed): the functions it traces must exist, and the reduce-certify
-corpus serves as a larger input set for the contractibility oracle."""
+never changed): the functions it traces must exist, and its corpora serve
+as larger input sets for the oracles and for a pin of the full ch2 screen."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from toricfans.birational import is_contractible
+from toricfans.chern import screen_2fano
+from toricfans.fan import LatticeFan, faces_of_dim, wall_neighbors
 from toricfans.primitive import primitive_relations
 
 import oracles
@@ -51,10 +54,47 @@ def test_contractibility_on_the_reduce_corpus(reduce_corpus):
     assert checked > len(reduce_corpus)
 
 
-def test_face_walk_on_every_benchmark_fan():
-    # the walk prunes by neighbours; the submask build tries every ray
+@pytest.fixture(scope="module")
+def benchmark_fans():
     corpus = _load("corpus")
     fans = corpus.classify_corpus() + corpus.large_fans()
     assert len(fans) == 224
-    for name, f in fans:
+    return fans
+
+
+def test_face_walk_on_every_benchmark_fan(benchmark_fans):
+    # the walk prunes by neighbours; the submask build tries every ray
+    for name, f in benchmark_fans:
         assert (f.faces, f.minimal_nonfaces) == oracles.faces_by_submasks(f), name
+
+
+def test_wall_table_on_every_benchmark_fan(benchmark_fans):
+    for name, f in benchmark_fans:
+        for wall in faces_of_dim(f, f.rank - 1):
+            assert wall_neighbors(f, wall) == oracles.wall_neighbors(f, wall), (name, wall)
+
+
+def test_screen_matches_link_scan_on_every_benchmark_fan(benchmark_fans):
+    for name, f in benchmark_fans:
+        scanned = LatticeFan(f.rank, f.rays, f.max_cones)  # derives its own relations
+        rows, _ = screen_2fano(f)
+        assert rows == [(tau, oracles.ch2_by_link_scan(scanned, tau)) for tau in faces_of_dim(f, f.rank - 2)], name
+
+
+# sha256 over every row of the screen on the seed-0 classify corpus, one
+# "<name> <tau> <value>" line per row in corpus and faces_of_dim order
+# (10,743 rows, no fan rejected)
+SCREEN_ROWS_SHA256 = "8b1edbe350d406ddf665adf5283afde74e454d971c83d665967218f3efd92c59"
+
+
+def test_full_screen_pin():
+    corpus = _load("corpus")
+    fans = corpus.seeded(corpus.classify_corpus(), 0)
+    assert len(fans) == 215
+    h, count = hashlib.sha256(), 0
+    for name, f in fans:
+        for tau, value in screen_2fano(f)[0]:
+            h.update(f"{name} {tau} {value}\n".encode())
+            count += 1
+    assert count == 10743
+    assert h.hexdigest() == SCREEN_ROWS_SHA256
