@@ -13,8 +13,11 @@ share a cone with every ray of the face.  The wall table
 (``LatticeFan.walls``) maps each wall's ray bitmask to its opposite rays; it
 is the only wall structure that ``wall_neighbors``, ``wall_relation`` (whose
 memo is keyed by the same bitmask) and the ch2 link walk read.  ``validate``
-keeps its own pairing, which records each owner's side and runs on malformed
-fans.
+is one sweep over the sorted maximal cones: ``lattice.cone_determinants``
+eliminates each prefix that neighbouring cones share once, and the walls
+pair by the same bitmask keys (each cone's mask with one bit cleared) in a
+pairing of its own, which records each owner's position and side and runs on
+malformed fans.
 
 Per-cone data (determinants, dual bases) may be handed from a fan to the fan
 a surgery builds from it (``star_subdivision``, ``contract``, ``flip``): an
@@ -198,7 +201,11 @@ class LatticeFan:
                 ext = face | 1 << u
                 shared = common & masks[u]
                 if shared:
-                    stack.append((ext, u, shared, shared_near & near[u]))
+                    below = shared_near & near[u]
+                    if (below if face else -1) & ((1 << u) - 1):
+                        stack.append((ext, u, shared, below))
+                    else:  # a leaf: nothing below u to extend it by
+                        faces.add(ext)
                     continue
                 rest = face
                 while rest:
@@ -310,12 +317,17 @@ def validate(f: LatticeFan) -> ValidationReport:
     opposite sides of it, and the adjacency graph must be connected.  The
     side of the ray u at position p of a sorted cone c is the sign of
     det(c) * (-1)^(n-1-p), read from the determinants the unimodularity
-    check computes and keeps in ``f._cone_dets`` (where a surgery may have
-    handed some over).  Together these make the cones a pseudomanifold that
-    covers R^n with a consistent orientation; what stays unchecked is a
-    consistently oriented cover of degree >= 2 (cones winding more than
-    once around the origin).  Never raises; downstream operations reject
-    fans whose report carries failures.
+    check keeps in ``f._cone_dets``: a surgery may have handed some over,
+    and the square, in-range cones still missing go to
+    ``lattice.cone_determinants`` in one call.  Walls are keyed by ray
+    bitmask and their owners by cone position; only failing walls become
+    index tuples, reported in sorted wall order.  Together these make the
+    cones a pseudomanifold that covers R^n with a consistent orientation;
+    what stays unchecked is a consistently oriented cover of degree >= 2
+    (cones winding more than once around the origin).  The fan of a point
+    (rank 0, the one empty cone, whose empty matrix has det 1) is valid and
+    has no walls.  Never raises; downstream operations reject fans whose
+    report carries failures.
     """
     failures: list[str] = []
     n = f.rank
@@ -340,61 +352,66 @@ def validate(f: LatticeFan) -> ValidationReport:
     if not f.max_cones:
         failures.append("no maximal cones")
 
+    if rays_well_shaped:
+        todo = [
+            c for c in f.max_cones
+            if len(c) == n and c not in dets and not (c and (c[0] < 0 or c[-1] >= n_rays))
+        ]
+        dets.update(lattice.cone_determinants([r.vector for r in f.rays], todo))
     for cone in f.max_cones:
-        if any(i < 0 or i >= n_rays for i in cone):
+        if cone and (cone[0] < 0 or cone[-1] >= n_rays):
             failures.append(f"cone {cone} has out-of-range ray indices")
-            continue
-        if len(cone) != n:
+        elif len(cone) != n:
             failures.append(f"maximal cone {cone} has size {len(cone)}, expected {n}")
-            continue
-        if not rays_well_shaped:
-            continue
-        det = dets.get(cone)
-        if det is None:
-            det = dets[cone] = lattice.determinant([f.vector(i) for i in cone])
-        if det not in (1, -1):
-            failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {det})")
+        elif rays_well_shaped and dets[cone] not in (1, -1):
+            failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {dets[cone]})")
 
     if not failures:
-        # wall -> [(owner cone, side of the owner's opposite ray)]
-        wall_count: dict[ConeRef, list[tuple[ConeRef, int]]] = {}
-        for cone in f.max_cones:
-            side = dets[cone]
-            # the k-th wall drops position p = n-1-k: side det * (-1)^(n-1-p)
-            for wall in combinations(cone, n - 1):
-                wall_count.setdefault(wall, []).append((cone, side))
-                side = -side
-        # only the failing walls are sorted, for the report's order
-        bad = sorted((w, o) for w, o in wall_count.items() if len(o) != 2 or o[0][1] == o[1][1])
-        for wall, owners in bad:
-            if len(owners) != 2:
+        # wall mask -> [(owner's position, side of the owner's opposite ray)]
+        owners: dict[int, list[tuple[int, int]]] = {}
+        covered = 0
+        for pos, cone in enumerate(f.max_cones):
+            mask = ray_mask(cone)
+            covered |= mask
+            # the ray at position p lies on side det * (-1)^p, up to the
+            # factor (-1)^(n-1) that every cone shares
+            owner, other = (pos, dets[cone]), (pos, -dets[cone])
+            for u in cone:
+                owners.setdefault(mask ^ 1 << u, []).append(owner)
+                owner, other = other, owner
+        # only the failing walls become tuples, sorted for the report's order
+        bad = sorted(
+            (tuple(i for i in range(n_rays) if wall >> i & 1), len(o))
+            for wall, o in owners.items()
+            if len(o) != 2 or o[0][1] == o[1][1]
+        )
+        for wall, count in bad:
+            if count != 2:
                 failures.append(
-                    f"wall {f.cone_labels(wall)} appears in {len(owners)} maximal cone(s), expected 2"
+                    f"wall {f.cone_labels(wall)} appears in {count} maximal cone(s), expected 2"
                 )
             else:
                 failures.append(
                     f"wall {f.cone_labels(wall)} is folded: both of its maximal cones lie on one side"
                 )
-        if not failures and len(f.max_cones) > 1:
-            # adjacency-graph connectivity
-            adj: dict[ConeRef, set[ConeRef]] = {c: set() for c in f.max_cones}
-            for (c1, _), (c2, _) in wall_count.values():
-                adj[c1].add(c2)
-                adj[c2].add(c1)
-            seen = {f.max_cones[0]}
-            stack = [f.max_cones[0]]
+        if not failures:
+            # adjacency-graph connectivity, searched over cone positions
+            adj: list[list[int]] = [[] for _ in f.max_cones]
+            for (c1, _), (c2, _) in owners.values():
+                adj[c1].append(c2)
+                adj[c2].append(c1)
+            seen = [False] * len(adj)
+            seen[0] = True
+            stack = [0]
             while stack:
                 for nb in adj[stack.pop()]:
-                    if nb not in seen:
-                        seen.add(nb)
+                    if not seen[nb]:
+                        seen[nb] = True
                         stack.append(nb)
-            if len(seen) != len(f.max_cones):
+            if not all(seen):
                 failures.append("maximal-cone adjacency graph is disconnected")
-        every_ray = set()
-        for cone in f.max_cones:
-            every_ray.update(cone)
         for ray in f.rays:
-            if ray.index not in every_ray:
+            if not covered >> ray.index & 1:
                 failures.append(f"ray {ray.index} occurs in no maximal cone")
 
     return ValidationReport(ok=not failures, failures=tuple(failures))

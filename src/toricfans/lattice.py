@@ -10,6 +10,7 @@ non-integrality signal.  No floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -51,12 +52,7 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def gcd_all(entries: Iterable[int]) -> int:
-    from math import gcd
-
-    g = 0
-    for e in entries:
-        g = gcd(g, e)
-    return g
+    return gcd(*entries)
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -89,6 +85,56 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
                 a[i] = [x * pivot // prev for x in row]
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def cone_determinants(
+    vectors: Sequence[Sequence[int]], cones: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], int]:
+    """Determinant of the matrix with rows ``vectors[i]`` (i in cone), for
+    each cone, keyed by the cone.
+
+    Each cone's rows are eliminated in order against the unit (+-1) pivots
+    of the rows before them, and the reduced rows of the longest prefix it
+    shares with the previous cone are reused, so sorted cone lists, whose
+    neighbours share prefixes, eliminate each shared prefix once.  The
+    reduced rows are triangular under the order of their pivot columns, so
+    the determinant is the product of the pivots times the sign of that
+    order.  A cone with a reduced row that has no +-1 entry (a singular or
+    non-unimodular matrix, or a unimodular one whose rows need other
+    pivots) gets the exact ``determinant`` of its matrix instead."""
+    dets = {}
+    # the current prefix: (ray, reduced row, pivot column, pivot, sign of
+    # the determinant so far: pivots times the sign of the column order)
+    stack: list[tuple[int, list[int], int, int, int]] = []
+    for cone in cones:
+        n = len(cone)
+        if any(len(vectors[i]) != n for i in cone):
+            raise ShapeError("determinant requires a square matrix")
+        k = 0
+        while k < len(stack) and k < n and stack[k][0] == cone[k]:
+            k += 1
+        del stack[k:]
+        for i in cone[k:]:
+            row = list(vectors[i])
+            for _, top, p, unit, _ in stack:
+                c = row[p] * unit
+                if c:
+                    row = [x - c * y for x, y in zip(row, top)]
+            for unit in (1, -1):
+                if unit in row:
+                    break
+            else:
+                dets[cone] = determinant([vectors[j] for j in cone])
+                break
+            p = row.index(unit)
+            sign = stack[-1][4] if stack else 1
+            for entry in stack:
+                if entry[2] > p:
+                    sign = -sign
+            stack.append((i, row, p, unit, sign * unit))
+        else:
+            dets[cone] = stack[-1][4] if stack else 1
+    return dets
 
 
 def _rational_rref(a: list[list[Fraction]], rhs: list[Fraction]):

@@ -10,6 +10,8 @@ face bitmask set.  The divisor-times-orbit reduction is the reference for the
 link walk that computes ch2 against invariant surfaces.  The Fraction
 phase-1 simplex is the reference for the integer tableau that decides Gordan's
 alternative, and Fourier-Motzkin elimination an independent second one.
+``validate_reference`` is the tuple-keyed structural check that one sweep
+of ``fan.validate`` replaced, with every determinant by Bareiss elimination.
 """
 
 from fractions import Fraction
@@ -334,3 +336,93 @@ def ch2_by_orbit_reduction(f, tau):
         for wall, coeff in curve_expr:
             total += coeff * wall_curve_class(f, wall).alpha[v]
     return total / 2
+
+
+def validate_reference(f):
+    """fan.validate by tuple-keyed wall pairing: every (n-1)-subset of every
+    maximal cone into a dict, adjacency sets per cone, and a Bareiss
+    determinant per cone, kept in a dict of its own (never in the fan's).
+    The same checks, messages and order; raises ValueError on rank 0."""
+    from itertools import combinations
+    from math import gcd
+
+    from toricfans import lattice
+    from toricfans.fan import ValidationReport
+
+    failures = []
+    n = f.rank
+    rays_well_shaped = True
+    seen_vectors = {}
+    for ray in f.rays:
+        if all(x == 0 for x in ray.vector):
+            failures.append(f"ray {ray.index} is zero")
+        elif gcd(*ray.vector) != 1:
+            failures.append(f"ray {ray.index} is not primitive: {ray.vector}")
+        if len(ray.vector) != n:
+            failures.append(f"ray {ray.index} has length {len(ray.vector)}, rank is {n}")
+            rays_well_shaped = False
+        if ray.vector in seen_vectors:
+            failures.append(f"duplicate ray vector at {seen_vectors[ray.vector]} and {ray.index}")
+        seen_vectors.setdefault(ray.vector, ray.index)
+
+    dets = {}
+    n_rays = f.n_rays
+    if len(set(f.max_cones)) != len(f.max_cones):
+        failures.append("duplicate maximal cones")
+    if not f.max_cones:
+        failures.append("no maximal cones")
+
+    for cone in f.max_cones:
+        if any(i < 0 or i >= n_rays for i in cone):
+            failures.append(f"cone {cone} has out-of-range ray indices")
+            continue
+        if len(cone) != n:
+            failures.append(f"maximal cone {cone} has size {len(cone)}, expected {n}")
+            continue
+        if not rays_well_shaped:
+            continue
+        det = dets[cone] = lattice.determinant([f.vector(i) for i in cone])
+        if det not in (1, -1):
+            failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {det})")
+
+    if not failures:
+        # wall -> [(owner cone, side of the owner's opposite ray)]
+        wall_count = {}
+        for cone in f.max_cones:
+            side = dets[cone]
+            # the k-th wall drops position p = n-1-k: side det * (-1)^(n-1-p)
+            for wall in combinations(cone, n - 1):
+                wall_count.setdefault(wall, []).append((cone, side))
+                side = -side
+        bad = sorted((w, o) for w, o in wall_count.items() if len(o) != 2 or o[0][1] == o[1][1])
+        for wall, owners in bad:
+            if len(owners) != 2:
+                failures.append(
+                    f"wall {f.cone_labels(wall)} appears in {len(owners)} maximal cone(s), expected 2"
+                )
+            else:
+                failures.append(
+                    f"wall {f.cone_labels(wall)} is folded: both of its maximal cones lie on one side"
+                )
+        if not failures and len(f.max_cones) > 1:
+            adj = {c: set() for c in f.max_cones}
+            for (c1, _), (c2, _) in wall_count.values():
+                adj[c1].add(c2)
+                adj[c2].add(c1)
+            seen = {f.max_cones[0]}
+            stack = [f.max_cones[0]]
+            while stack:
+                for nb in adj[stack.pop()]:
+                    if nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+            if len(seen) != len(f.max_cones):
+                failures.append("maximal-cone adjacency graph is disconnected")
+        every_ray = set()
+        for cone in f.max_cones:
+            every_ray.update(cone)
+        for ray in f.rays:
+            if ray.index not in every_ray:
+                failures.append(f"ray {ray.index} occurs in no maximal cone")
+
+    return ValidationReport(ok=not failures, failures=tuple(failures))

@@ -277,7 +277,7 @@ class TestInheritedConeData:
             warm(fan)
             with counting_determinants() as det:
                 out = contract(fan, BlowdownSpec(rel))
-            assert det.call_count == len(new_cones(fan, out))
+            assert len(det) == len(new_cones(fan, out))
             assert_cone_data_exact(fan, out)
 
     @pytest.mark.parametrize("name", ["4d", "6d", "2268"])
@@ -296,7 +296,7 @@ class TestInheritedConeData:
                 out = flip(f, FlipSpec(rel))
             # the blowup's and the blowdown's new cones; the surgery output
             # reads all of its determinants from f and out
-            assert det.call_count == len(new_cones(f, mid)) + len(new_cones(mid, out))
+            assert len(det) == len(new_cones(f, mid)) + len(new_cones(mid, out))
             assert_cone_data_exact(f, out)
             surgery = _flip_by_surgery(f, FlipSpec(rel), out)
             assert set(surgery._cone_dets) == set(surgery.max_cones)

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from itertools import combinations
 from unittest import mock
 
@@ -80,6 +81,34 @@ def transformed(f, g):
     return LatticeFan(f.rank, rays, f.max_cones, [r.label for r in f.rays])
 
 
+@st.composite
+def mutated_fans(draw):
+    """A fan of blown_up_fans() with one mutation: a cone dropped, a ray
+    perturbed, a ray added, one cone entry re-indexed (out of range
+    included), or all cones replaced by random cones of the right size."""
+    f = draw(blown_up_fans())
+    rays = [r.vector for r in f.rays]
+    cones = [list(c) for c in f.max_cones]
+    kind = draw(st.sampled_from(["drop cone", "perturb ray", "add ray", "re-index", "random cones"]))
+    if kind == "drop cone":
+        del cones[draw(st.integers(0, len(cones) - 1))]
+    elif kind == "perturb ray":
+        i = draw(st.integers(0, len(rays) - 1))
+        d = draw(st.integers(0, f.rank - 1))
+        v = list(rays[i])
+        v[d] += draw(st.sampled_from([-2, -1, 1, 2]))
+        rays[i] = tuple(v)
+    elif kind == "add ray":
+        rays.append(tuple(draw(st.lists(st.integers(-2, 2), min_size=f.rank, max_size=f.rank))))
+    elif kind == "re-index":
+        cone = cones[draw(st.integers(0, len(cones) - 1))]
+        cone[draw(st.integers(0, f.rank - 1))] = draw(st.integers(-1, len(rays)))
+    else:
+        subset = st.lists(st.integers(0, len(rays) - 1), min_size=f.rank, max_size=f.rank, unique=True)
+        cones = draw(st.lists(subset, min_size=len(cones), max_size=len(cones)))
+    return LatticeFan(f.rank, rays, cones)
+
+
 class TestValidate:
     def test_p2_valid(self):
         assert validate(p2()).ok
@@ -143,6 +172,49 @@ class TestValidate:
         f = LatticeFan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
         with pytest.raises(FanValidationError):
             locate(f, (1, 1))
+
+    @pytest.mark.parametrize(
+        "rank, rays, cones, expected",
+        [
+            # the fan of a point: the empty cone, det 1, no walls
+            (0, [], [()], "valid"),
+            (0, [], [], "invalid: no maximal cones"),
+            (0, [()], [()], "invalid: ray 0 is zero"),
+            (0, [], [(0,)], "invalid: cone (0,) has out-of-range ray indices"),
+            (1, [(1,), (-1,)], [(0,), (1,)], "valid"),
+            (
+                1,
+                [(1,), (-1,)],
+                [(0,)],
+                "invalid: wall () appears in 1 maximal cone(s), expected 2; ray 1 occurs in no maximal cone",
+            ),
+            (1, [(1,), (-1,)], [(0, 1)], "invalid: maximal cone (0, 1) has size 2, expected 1"),
+            (1, [(1,), (-2,)], [(0,), (1,)], "invalid: ray 1 is not primitive: (-2,); cone ('r1',) is not unimodular (det -2)"),
+        ],
+    )
+    def test_rank_zero_and_one(self, rank, rays, cones, expected):
+        f = LatticeFan(rank, rays, cones)
+        assert str(validate(f)) == expected
+        if rank:
+            assert validate(f) == oracles.validate_reference(f)
+
+    def test_two_sheets_are_disconnected(self):
+        # two complete fans on disjoint rays: every wall pairs on opposite
+        # sides, but the cones form two components
+        rays = [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)]
+        f = LatticeFan(2, rays, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert validate(f).failures == ("maximal-cone adjacency graph is disconnected",)
+        assert validate(f) == oracles.validate_reference(f)
+
+    def test_misshapen_ray_skips_determinants(self):
+        f = LatticeFan(2, [(1, 0), (0, 1, 0), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        assert validate(f).failures == ("ray 1 has length 3, rank is 2",)
+        assert not f._cone_dets
+
+    @given(mutated_fans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_under_mutation(self, f):
+        assert str(validate(f)) == str(oracles.validate_reference(f))
 
 
 class TestSpansCone:
@@ -321,8 +393,19 @@ def assert_cone_data_exact(parent, out):
             assert out._dual_bases.get(cone) is parent._dual_bases[source], cone
 
 
+@contextmanager
 def counting_determinants():
-    return mock.patch.object(lattice, "determinant", wraps=lattice.determinant)
+    """Collect every cone handed to lattice.cone_determinants (validate's
+    only way to compute determinants) while the block runs."""
+    cones = []
+    compute = lattice.cone_determinants
+
+    def counting(vectors, todo):
+        cones.extend(todo)
+        return compute(vectors, todo)
+
+    with mock.patch.object(lattice, "cone_determinants", counting):
+        yield cones
 
 
 class TestStarSubdivision:
@@ -365,7 +448,7 @@ class TestInheritedConeData:
                 with counting_determinants() as det:
                     sub = star_subdivision(fan, cone[:size])
                 # validate computed only the cones the subdivision made
-                assert det.call_count == len(new_cones(fan, sub)) > 0
+                assert len(det) == len(new_cones(fan, sub)) > 0
                 assert set(sub._cone_dets) == set(sub.max_cones)
                 assert_cone_data_exact(fan, sub)
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,6 +139,70 @@ class TestDeterminant:
         for s in signs:
             product *= s
         assert lattice.determinant(m) == parity * product
+
+
+@st.composite
+def cone_systems(draw):
+    """(vectors, cones): up to n + 4 rays in Z^n (n <= 5) and a list of cones
+    of n distinct rays each.  Rays are sparse small integers (singular,
+    non-unimodular and unit-free rows) or, half the time, start with the
+    rows of a unimodular matrix; cones are sorted or in drawn order, the
+    list sorted or not, and sometimes repeats a cone."""
+    n = draw(st.integers(0, 5))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n + 4))
+    if n and draw(st.booleans()):
+        vectors[:n] = draw(unimodular(n))
+    order = draw(st.sampled_from([sorted, tuple]))
+    cone = st.permutations(range(len(vectors))).map(lambda p: tuple(order(p[:n])))
+    cones = draw(st.lists(cone, max_size=10))
+    if draw(st.booleans()):
+        cones.sort()
+    if cones and draw(st.booleans()):
+        cones.insert(draw(st.integers(0, len(cones))), cones[0])
+    return vectors, cones
+
+
+class TestConeDeterminants:
+    @given(cone_systems())
+    @settings(max_examples=400)
+    def test_against_bareiss(self, system):
+        vectors, cones = system
+        dets = lattice.cone_determinants(vectors, cones)
+        assert set(dets) == set(cones)
+        for cone in cones:
+            assert dets[cone] == lattice.determinant([vectors[i] for i in cone]), cone
+
+    def test_rows_without_a_unit_entry(self):
+        assert lattice.cone_determinants([(2, 3), (1, 1)], [(0, 1), (1, 0)]) == {(0, 1): -1, (1, 0): 1}
+        vectors = [(1, 0, 0), (0, 2, 1), (0, 1, 1), (0, 3, 2), (2, 0, 1)]
+        cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4)]
+        assert lattice.cone_determinants(vectors, cones) == {(0, 1, 2): 1, (0, 1, 3): 1, (0, 2, 3): -1, (1, 2, 4): 2}
+
+    def test_rank_zero_and_one(self):
+        assert lattice.cone_determinants([], [()]) == {(): 1}
+        assert lattice.cone_determinants([(), ()], [(), ()]) == {(): 1}
+        assert lattice.cone_determinants([], []) == {}
+        vectors = [(1,), (-1,), (2,), (0,)]
+        assert lattice.cone_determinants(vectors, [(0,), (1,), (2,), (3,)]) == {(0,): 1, (1,): -1, (2,): 2, (3,): 0}
+
+    def test_non_square(self):
+        with pytest.raises(ShapeError):
+            lattice.cone_determinants([(1, 0), (0, 1), (1, 1, 1)], [(0, 1), (0, 2)])
+
+    @given(st.integers(1, 8).flatmap(signed_permutation))
+    @settings(max_examples=100)
+    def test_signed_permutations_need_no_fallback(self, case):
+        # every row of a signed permutation matrix has a unit pivot, so the
+        # sign comes from the pivot signs and the pivot-column order alone
+        perm, signs = case
+        n = len(perm)
+        vectors = [tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n)]
+        with mock.patch.object(lattice, "determinant") as fallback:
+            dets = lattice.cone_determinants(vectors, [tuple(range(n)), tuple(range(n))[::-1]])
+        assert not fallback.called
+        assert dets[tuple(range(n))] == lattice.determinant(vectors)
+        assert dets[tuple(range(n))[::-1]] == lattice.determinant(vectors[::-1])
 
 
 class TestSolve:

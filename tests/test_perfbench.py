@@ -12,7 +12,7 @@ import pytest
 
 from toricfans.birational import is_contractible
 from toricfans.chern import screen_2fano
-from toricfans.fan import LatticeFan, faces_of_dim, wall_neighbors
+from toricfans.fan import LatticeFan, faces_of_dim, validate, wall_neighbors
 from toricfans.primitive import primitive_relations
 
 import oracles
@@ -66,6 +66,12 @@ def test_face_walk_on_every_benchmark_fan(benchmark_fans):
     # the walk prunes by neighbours; the submask build tries every ray
     for name, f in benchmark_fans:
         assert (f.faces, f.minimal_nonfaces) == oracles.faces_by_submasks(f), name
+
+
+def test_validate_on_every_benchmark_fan(benchmark_fans):
+    for name, f in benchmark_fans:
+        fresh = LatticeFan(f.rank, f.rays, f.max_cones)  # computes every determinant
+        assert str(validate(fresh)) == str(oracles.validate_reference(f)) == "valid", name
 
 
 def test_wall_table_on_every_benchmark_fan(benchmark_fans):
