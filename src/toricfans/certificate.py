@@ -253,6 +253,8 @@ def certificate_to_dict(cert: Certificate, log: TransformLog | None = None) -> d
 
 
 def certificate_from_dict(doc: dict) -> Certificate:
+    if not isinstance(doc, dict):
+        raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
     if doc.get("cert_version") != CERT_VERSION:
         raise CertificateError(f"unsupported cert_version {doc.get('cert_version')!r}")
     try:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import certificate as certmod
 from . import fanio
 from .chern import screen_2fano
-from .errors import PreconditionError, ToricError
+from .errors import CertificateError, PreconditionError, ToricError
 from .fan import LatticeFan, is_projective
 from .pipeline import detect_exceptional, diagnose_m3, run_step1
 from .primitive import (
@@ -28,6 +28,13 @@ from .primitive import (
 )
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
 def _load_fan(path: str) -> LatticeFan:
     f = fanio.read_fan(path)
     f.require_valid()
@@ -36,16 +43,14 @@ def _load_fan(path: str) -> LatticeFan:
 
 def _resolve_centered(f: LatticeFan, spec: str | None):
     if spec is not None:
-        parts = [p.strip() for p in spec.split(",") if p.strip()]
         idx = []
-        for p in parts:
-            if p in f.label_index:
-                idx.append(f.label_index[p])
-            else:
-                try:
-                    idx.append(int(p))
-                except ValueError:
-                    raise PreconditionError(f"unknown ray {p!r}")
+        for p in filter(None, (p.strip() for p in spec.split(","))):
+            i = f.label_index.get(p)
+            if i is None:
+                i = int(p) if p.isdecimal() else -1
+            if not 0 <= i < f.n_rays:
+                raise PreconditionError(f"unknown ray {p!r}")
+            idx.append(i)
         return tuple(sorted(idx))
     m = minimal_p_dimension(f)
     if m is None:
@@ -127,8 +132,7 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    text = Path(args.relations).read_text(encoding="utf-8")
-    pres = fanio.parse_relations(text)
+    pres = fanio.parse_relations(fanio.read_text(args.relations))
     f = fanio.reconstruct_fan(pres, args.dim)
     fanio.write_fan(f, args.out)
     print(f"reconstructed fan: rays {f.n_rays}, maxcones {len(f.max_cones)} -> {args.out}")
@@ -136,8 +140,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    degrees = [int(t) for t in args.degrees.split(",")]
-    f = fanio.build_bundle_over_p1(degrees)
+    f = fanio.build_bundle_over_p1(args.degrees)
     fanio.write_fan(f, args.out)
     print(f"bundle fan: dim {f.rank}, rays {f.n_rays} -> {args.out}")
     return 0
@@ -158,7 +161,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    doc = json.loads(Path(args.cert).read_text(encoding="utf-8"))
+    doc = json.loads(fanio.read_text(args.cert, CertificateError))
     cert = certmod.certificate_from_dict(doc)
     result = certmod.check_certificate(cert)
     print(cert.describe())
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("bundle", help="fan of a split projective bundle over P1")
-    p.add_argument("-a", "--degrees", required=True, help="comma-separated integers a0,...,am")
+    p.add_argument("-a", "--degrees", required=True, type=_int_list, help="comma-separated integers a0,...,am")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_bundle)
 
@@ -243,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToricError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as e:

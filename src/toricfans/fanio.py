@@ -105,12 +105,16 @@ def parse_fan(text: str) -> LatticeFan:
     return LatticeFan(dim, rays, cones, labels)
 
 
-def read_fan(path: str | Path) -> LatticeFan:
+def read_text(path: str | Path, error: type[ToricError] = ParseError) -> str:
+    """A UTF-8 file's text; undecodable bytes raise error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})")
-    return parse_fan(text)
+        raise error(f"not UTF-8 text ({e.reason} at byte {e.start})")
+
+
+def read_fan(path: str | Path) -> LatticeFan:
+    return parse_fan(read_text(path))
 
 
 def write_fan(f: LatticeFan, path: str | Path) -> None:
@@ -455,6 +459,7 @@ def batch_classify(directory: str | Path, workers: int = 1):
     paths = sorted(
         str(p) for p in Path(directory).iterdir() if p.suffix in (".fan", ".toricfan")
     )
+    workers = min(workers, len(paths))  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(classify_file, paths, chunksize=8))

@@ -1,15 +1,15 @@
 """Exact integer linear algebra used by every other module.
 
 Vectors are tuples of Python ints (arbitrary precision), matrices are
-sequences of such row vectors.  solve_integer_system's elimination uses
-fractions.Fraction; determinants, inverses and the Gordan LP are
-fraction-free.  Every public result is an integer object or an explicit
-non-integrality signal.  No floats anywhere.
+sequences of such row vectors.  Every elimination (determinants, integer
+solves, unimodular inverses, the Gordan LP) is fraction-free: one integer
+pivot step, _pivot, whose division by the previous pivot is exact.  Every
+public result is an integer object or an explicit non-integrality signal.
+No floats anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -55,36 +55,70 @@ def gcd_all(entries: Iterable[int]) -> int:
     return gcd(*entries)
 
 
+def _pivot(rows: list[list[int]], r: int, c: int, scale: int) -> int:
+    """Edmonds' integer pivot on rows[r][c]: every other row x becomes
+    (x * p - x[c] * rows[r]) // scale, where p = rows[r][c] and scale is the
+    previous pivot.  The division is exact, since every entry is a minor of
+    the original rows.  Returns p, the next scale."""
+    top = rows[r]
+    p = top[c]
+    for j, row in enumerate(rows):
+        if j == r:
+            continue
+        x = row[c]
+        if x:
+            rows[j] = [(a * p - x * b) // scale for a, b in zip(row, top)]
+        elif p != scale:
+            rows[j] = [a * p // scale for a in row]
+    return p
+
+
+def _reduce(rows: list[list[int]], cols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on the first cols columns, in place.
+
+    Each column pivots on its first +-1 entry at or below the pivot rows,
+    or else on its first nonzero one, swapped up to the next pivot row; a
+    pivot equal to -scale has its row negated first, so unit pivots keep
+    the scale.  Afterwards the pivot rows lead the list, every pivot entry
+    equals scale and every other entry of a pivot column is 0.  scale is
+    the minor of the swapped and negated rows on the pivot rows and columns,
+    and sign is -1 to the number of swaps and negations, so a square matrix
+    of full rank has determinant sign * scale.  Returns (pivot columns,
+    scale, sign)."""
+    pivots = []
+    scale = sign = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        first = None
+        for i in range(r, len(rows)):
+            x = rows[i][c]
+            if x == 1 or x == -1:
+                first = i
+                break
+            if x and first is None:
+                first = i
+        if first is None:
+            continue
+        if first != r:
+            rows[r], rows[first] = rows[first], rows[r]
+            sign = -sign
+        if rows[r][c] == -scale:
+            rows[r] = [-x for x in rows[r]]
+            sign = -sign
+        scale = _pivot(rows, r, c, scale)
+        pivots.append(c)
+    return pivots, scale, sign
+
+
 def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    """Exact determinant of a square integer matrix by fraction-free elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        top = a[k]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            lead = row[k]
-            if lead:
-                a[i] = [(x * pivot - lead * y) // prev for x, y in zip(row, top)]
-            elif pivot != prev:
-                a[i] = [x * pivot // prev for x in row]
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    pivots, scale, sign = _reduce([list(row) for row in m], n)
+    return sign * scale if len(pivots) == n else 0
 
 
 def cone_determinants(
@@ -137,32 +171,6 @@ def cone_determinants(
     return dets
 
 
-def _rational_rref(a: list[list[Fraction]], rhs: list[Fraction]):
-    """In-place forward elimination; returns (pivot column list, rank)."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return piv_cols, r
-
-
 def solve_integer_system(matrix: Sequence[Sequence[int]], b: Sequence[int]):
     """Solve matrix @ x = b exactly over the integers.
 
@@ -177,20 +185,20 @@ def solve_integer_system(matrix: Sequence[Sequence[int]], b: Sequence[int]):
     cols = len(m[0]) if rows else 0
     if cols == 0:
         return () if all(x == 0 for x in b) else NO_SOLUTION
-    a = [[Fraction(x) for x in row] for row in m]
-    rhs = [Fraction(x) for x in b]
-    piv_cols, rank = _rational_rref(a, rhs)
-    for i in range(rank, rows):
-        if rhs[i] != 0:
-            return NO_SOLUTION
+    a = [list(row) + [int(v)] for row, v in zip(m, b)]
+    pivots, scale, _ = _reduce(a, cols)
+    rank = len(pivots)
+    if any(row[cols] for row in a[rank:]):
+        return NO_SOLUTION
     if rank < cols:
         return UNDERDETERMINED
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(piv_cols):
-        x[c] = rhs[r]
-    if any(v.denominator != 1 for v in x):
-        return NO_SOLUTION
-    return tuple(int(v) for v in x)
+    x = []
+    for row in a[:rank]:
+        q, rem = divmod(row[cols], scale)
+        if rem:
+            return NO_SOLUTION
+        x.append(q)
+    return tuple(x)
 
 
 def express_in_basis(basis: Sequence[Sequence[int]], p: Sequence[int]) -> IntVector:
@@ -216,38 +224,23 @@ def express_in_basis(basis: Sequence[Sequence[int]], p: Sequence[int]) -> IntVec
 def unimodular_inverse(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Integer inverse of a square matrix with determinant +-1.
 
-    Gauss-Jordan on [m | I] with integer row operations only: in each column,
-    Euclid's algorithm on the rows from the diagonal down leaves a single
-    nonzero pivot, and m is unimodular only if every pivot is +-1.  The
-    result is checked by check_inverse before it is returned.  Raises
-    PreconditionError on a singular or non-unimodular matrix.
+    Fraction-free Gauss-Jordan on [m | I]: at full rank the left block is
+    scale * I and the right one scale * m^-1, where scale = +-det(m), so m
+    is unimodular exactly when scale is +-1, and its inverse is the right
+    block times scale.  The result is checked by check_inverse before it is
+    returned.  Raises PreconditionError on a singular (det 0) or
+    non-unimodular (|det| >= 2) matrix.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeError("inverse requires a square matrix")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        while True:
-            live = [r for r in range(c, n) if a[r][c]]
-            if not live:
-                raise PreconditionError("matrix is singular")
-            p = min(live, key=lambda r: abs(a[r][c]))
-            a[c], a[p] = a[p], a[c]
-            if len(live) == 1:
-                break
-            for r in range(c + 1, n):
-                if a[r][c]:
-                    q = a[r][c] // a[c][c]
-                    a[r] = [x - q * y for x, y in zip(a[r], a[c])]
-        if a[c][c] not in (1, -1):
-            raise PreconditionError("matrix is not unimodular")
-        if a[c][c] == -1:
-            a[c] = [-x for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                q = a[r][c]
-                a[r] = [x - q * y for x, y in zip(a[r], a[c])]
-    inverse = tuple(tuple(row[n:]) for row in a)
+    pivots, scale, _ = _reduce(a, n)
+    if len(pivots) < n:
+        raise PreconditionError("matrix is singular")
+    if scale not in (1, -1):
+        raise PreconditionError("matrix is not unimodular")
+    inverse = tuple(tuple(scale * x for x in row[n:]) for row in a)
     check_inverse(m, inverse)
     return inverse
 
@@ -288,10 +281,11 @@ def gordan_witness(rows: Sequence[Sequence[int]]) -> tuple[bool, IntVector]:
     sum lambda = 1, lambda >= 0  (dim + 1 equations, one artificial each),
     in integers: the tableau is kept scaled by the previous pivot D, so a
     pivot on p updates every other row by (x * p - c * y) // D, an exact
-    division (Edmonds' integer pivoting).  D stays positive, so every sign
-    test and the cross-multiplied ratio test read as over the rationals, and
-    Bland's rule (the first column with negative reduced cost enters; ratio
-    ties go to the smallest basis index) fixes the pivots and termination.
+    division (Edmonds' integer pivoting, _pivot).  D stays positive, so
+    every sign test and the cross-multiplied ratio test read as over the
+    rationals, and Bland's rule (the first column with negative reduced cost
+    enters; ratio ties go to the smallest basis index) fixes the pivots and
+    termination.
     A zero optimum leaves D * lambda in the rhs of the basic lambda columns;
     a positive one leaves the duals y of the coordinate equations in the
     artificial columns' reduced costs 1 - y, and x = -y * D.  The witness
@@ -331,18 +325,8 @@ def gordan_witness(rows: Sequence[Sequence[int]]) -> tuple[bool, IntVector]:
                 pivot_row = j
         if pivot_row is None:
             break  # unbounded; cannot happen for a phase-1 objective
-        top = tab[pivot_row]
-        piv = top[enter]
-        for j, row in enumerate(tab):
-            if j == pivot_row:
-                continue
-            c = row[enter]
-            if c:
-                tab[j] = [(x * piv - c * y) // scale for x, y in zip(row, top)]
-            elif piv != scale:
-                tab[j] = [x * piv // scale for x in row]
+        scale = _pivot(tab, pivot_row, enter, scale)
         basis[pivot_row] = enter
-        scale = piv
     if tab[obj][n_cols] == 0:
         lam = [0] * m
         for j, b in enumerate(basis):

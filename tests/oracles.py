@@ -12,9 +12,16 @@ phase-1 simplex is the reference for the integer tableau that decides Gordan's
 alternative, and Fourier-Motzkin elimination an independent second one.
 ``validate_reference`` is the tuple-keyed structural check that one sweep
 of ``fan.validate`` replaced, with every determinant by Bareiss elimination.
+The package's former Bareiss determinant, Fraction Gauss-Jordan solver and
+Euclid inverse are the references for the fraction-free elimination that
+replaced all three in ``lattice``.
 """
 
 from fractions import Fraction
+from typing import Sequence
+
+from toricfans.errors import PreconditionError, ShapeError
+from toricfans.lattice import NO_SOLUTION, UNDERDETERMINED, IntMatrix, as_matrix, check_inverse
 
 
 def pc_after_blowdown(pcs, tbar, z):
@@ -346,7 +353,6 @@ def validate_reference(f):
     from itertools import combinations
     from math import gcd
 
-    from toricfans import lattice
     from toricfans.fan import ValidationReport
 
     failures = []
@@ -381,7 +387,7 @@ def validate_reference(f):
             continue
         if not rays_well_shaped:
             continue
-        det = dets[cone] = lattice.determinant([f.vector(i) for i in cone])
+        det = dets[cone] = bareiss_determinant([f.vector(i) for i in cone])
         if det not in (1, -1):
             failures.append(f"cone {f.cone_labels(cone)} is not unimodular (det {det})")
 
@@ -426,3 +432,133 @@ def validate_reference(f):
                 failures.append(f"ray {ray.index} occurs in no maximal cone")
 
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+# The package's former exact kernels, unchanged but for their names: the
+# references for the one fraction-free elimination in toricfans.lattice.
+
+def bareiss_determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ShapeError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            if lead:
+                a[i] = [(x * pivot - lead * y) // prev for x, y in zip(row, top)]
+            elif pivot != prev:
+                a[i] = [x * pivot // prev for x in row]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def _rational_rref(a: list[list[Fraction]], rhs: list[Fraction]):
+    """In-place forward elimination; returns (pivot column list, rank)."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        rhs[r], rhs[piv] = rhs[piv], rhs[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        rhs[r] = rhs[r] * inv
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                rhs[i] = rhs[i] - f * rhs[r]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return piv_cols, r
+
+
+def fraction_solve_integer_system(matrix: Sequence[Sequence[int]], b: Sequence[int]):
+    """Solve matrix @ x = b exactly over the integers.
+
+    Returns the unique integer solution as a tuple, NO_SOLUTION when the
+    system is inconsistent or the unique rational solution is non-integral,
+    and UNDERDETERMINED when solutions are non-unique.
+    """
+    m = as_matrix(matrix)
+    rows = len(m)
+    if rows != len(b):
+        raise ShapeError(f"{rows} equations but {len(b)} right-hand sides")
+    cols = len(m[0]) if rows else 0
+    if cols == 0:
+        return () if all(x == 0 for x in b) else NO_SOLUTION
+    a = [[Fraction(x) for x in row] for row in m]
+    rhs = [Fraction(x) for x in b]
+    piv_cols, rank = _rational_rref(a, rhs)
+    for i in range(rank, rows):
+        if rhs[i] != 0:
+            return NO_SOLUTION
+    if rank < cols:
+        return UNDERDETERMINED
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(piv_cols):
+        x[c] = rhs[r]
+    if any(v.denominator != 1 for v in x):
+        return NO_SOLUTION
+    return tuple(int(v) for v in x)
+
+
+def euclid_unimodular_inverse(m: Sequence[Sequence[int]]) -> IntMatrix:
+    """Integer inverse of a square matrix with determinant +-1.
+
+    Gauss-Jordan on [m | I] with integer row operations only: in each column,
+    Euclid's algorithm on the rows from the diagonal down leaves a single
+    nonzero pivot, and m is unimodular only if every pivot is +-1.  The
+    result is checked by check_inverse before it is returned.  Raises
+    PreconditionError on a singular or non-unimodular matrix.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ShapeError("inverse requires a square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        while True:
+            live = [r for r in range(c, n) if a[r][c]]
+            if not live:
+                raise PreconditionError("matrix is singular")
+            p = min(live, key=lambda r: abs(a[r][c]))
+            a[c], a[p] = a[p], a[c]
+            if len(live) == 1:
+                break
+            for r in range(c + 1, n):
+                if a[r][c]:
+                    q = a[r][c] // a[c][c]
+                    a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+        if a[c][c] not in (1, -1):
+            raise PreconditionError("matrix is not unimodular")
+        if a[c][c] == -1:
+            a[c] = [-x for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                q = a[r][c]
+                a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+    inverse = tuple(tuple(row[n:]) for row in a)
+    check_inverse(m, inverse)
+    return inverse

@@ -196,6 +196,34 @@ class TestDiagnose:
         assert main(["diagnose-m3", fan_file(b3())]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("analyze {b3} --centered 99", 1),
+        ("pipeline {b3} --centered -1", 1),
+        ("diagnose-m3 {fan2268} --centered 0,1,2,99", 1),
+        ("reconstruct {binary} -d 2 -o {out}", 1),
+        ("check-cert {binary}", 1),
+        ("check-cert {list}", 1),
+        ("batch {b3} -o {out}", 1),
+        ("bundle -a 1,x -o {out}", 2),
+    ],
+)
+def test_odd_arguments_exit_without_a_traceback(tmp_path, fan_file, capsys, argv, code):
+    binary, listed = tmp_path / "binary.txt", tmp_path / "list.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    listed.write_text("[1, 2]")
+    paths = {"b3": fan_file(b3()), "fan2268": fan_file(fan_2268(), "2268.fan"), "binary": binary,
+             "list": listed, "out": tmp_path / "out"}
+    try:
+        got = main(argv.format(**paths).split())
+    except SystemExit as e:  # argparse's usage error
+        got = e.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err and err.startswith("usage: " if code == 2 else "error: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

@@ -195,6 +195,34 @@ class TestBatch:
         assert hist[2] == {1: 3, 2: 1}  # P1xP1, BlP2, F2 have m=1; P2 has m=2
         assert hist[3] == {2: 1, 3: 1}  # B3 and P3
 
+    @pytest.mark.parametrize("n_files,workers,pool_size", [(3, 5000, 3), (6, 4, 4), (1, 8, None), (0, 8, None)])
+    def test_pool_never_outnumbers_the_files(self, tmp_path, monkeypatch, n_files, workers, pool_size):
+        # a fake pool records the size asked for, so no large pool is started
+        from toricfans import fanio
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        for name, fan, _, _m in small_zoo()[:n_files]:
+            write_fan(fan, tmp_path / f"{name}.fan")
+        serial, _ = batch_classify(tmp_path, workers=1)
+        monkeypatch.setattr(fanio, "ProcessPoolExecutor", FakePool)
+        rows, _ = batch_classify(tmp_path, workers=workers)
+        assert sizes == ([pool_size] if pool_size else [])
+        assert batch_csv(rows) == batch_csv(serial)
+
     def test_unreadable_file_listed(self, tmp_path):
         (tmp_path / "broken.fan").write_text("not a fan\n")
         write_fan(p2(), tmp_path / "ok.fan")

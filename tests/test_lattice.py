@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from toricfans import lattice
 from toricfans.errors import PreconditionError, ShapeError
-from oracles import brute_force_determinant, rational_solve
+from oracles import (
+    bareiss_determinant,
+    brute_force_determinant,
+    euclid_unimodular_inverse,
+    fraction_solve_integer_system,
+    rational_solve,
+)
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -42,6 +48,32 @@ def unimodular(n, steps=6):
         return [tuple(r) for r in m]
 
     return build()
+
+
+@st.composite
+def linear_systems(draw):
+    """(matrix, b): m x n integer systems, m and n from 1 to 5, some
+    reshaped to have a zero row, a repeated row or rank below min(m, n), with
+    b drawn freely or as matrix @ x for an integer x (a consistent system)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["plain", "zero row", "repeated row", "rank deficient"]))
+    if shape == "zero row":
+        rows[draw(st.integers(0, m - 1))] = [0] * n
+    elif shape == "repeated row":
+        rows[draw(st.integers(0, m - 1))] = rows[draw(st.integers(0, m - 1))]
+    elif shape == "rank deficient":
+        basis = rows[: max(1, min(m, n) - 1)]
+        combo = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+        combos = draw(st.lists(combo, min_size=m, max_size=m))
+        rows = [[sum(c * r[d] for c, r in zip(cs, basis)) for d in range(n)] for cs in combos]
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        b = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        b = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    return [tuple(r) for r in rows], b
 
 
 @st.composite
@@ -124,6 +156,12 @@ class TestDeterminant:
     def test_zero_pivots_and_singular(self, m):
         assert lattice.determinant(m) == brute_force_determinant(m)
 
+    @given(st.integers(1, 8).flatmap(lambda n: st.one_of(square_matrix(n), sparse_matrix(n))))
+    @settings(max_examples=400)
+    def test_matches_bareiss(self, m):
+        # dense and mostly-zero matrices up to 8 x 8, singular ones included
+        assert lattice.determinant(m) == bareiss_determinant(m)
+
     @given(st.integers(1, 10).flatmap(signed_permutation))
     @settings(max_examples=100)
     def test_signed_permutation(self, case):
@@ -171,7 +209,7 @@ class TestConeDeterminants:
         dets = lattice.cone_determinants(vectors, cones)
         assert set(dets) == set(cones)
         for cone in cones:
-            assert dets[cone] == lattice.determinant([vectors[i] for i in cone]), cone
+            assert dets[cone] == bareiss_determinant([vectors[i] for i in cone]), cone
 
     def test_rows_without_a_unit_entry(self):
         assert lattice.cone_determinants([(2, 3), (1, 1)], [(0, 1), (1, 0)]) == {(0, 1): -1, (1, 0): 1}
@@ -241,6 +279,12 @@ class TestSolve:
         else:
             assert got == lattice.NO_SOLUTION
 
+    @given(linear_systems())
+    @settings(max_examples=400)
+    def test_matches_fraction_solver(self, system):
+        m, b = system
+        assert lattice.solve_integer_system(m, b) == fraction_solve_integer_system(m, b)
+
     @given(square_matrix(3), st.lists(small_int, min_size=3, max_size=3))
     @settings(max_examples=80)
     def test_solution_satisfies_system(self, m, b):
@@ -286,18 +330,30 @@ class TestUnimodularInverse:
             assert tuple(inverse[i][j] for i in range(n)) == tuple(column)
 
     @given(square_matrix(3))
-    @settings(max_examples=80)
+    @settings(max_examples=150)
     def test_raises_exactly_off_unimodular(self, m):
-        if lattice.determinant(m) in (1, -1):
+        # the message follows the determinant: 0 is singular, |det| >= 2 is
+        # not unimodular
+        det = lattice.determinant(m)
+        if det in (1, -1):
             inverse = lattice.unimodular_inverse(m)
             assert all(isinstance(x, int) for row in inverse for x in row)
         else:
-            with pytest.raises(PreconditionError):
+            message = "matrix is singular" if det == 0 else "matrix is not unimodular"
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
                 lattice.unimodular_inverse(m)
 
+    @given(st.data(), st.integers(1, 6))
+    @settings(max_examples=120)
+    def test_matches_euclid_inverse(self, data, n):
+        m = data.draw(unimodular(n, steps=12))
+        assert lattice.unimodular_inverse(m) == euclid_unimodular_inverse(m)
+
     def test_singular(self):
-        with pytest.raises(PreconditionError, match="singular"):
-            lattice.unimodular_inverse([(1, 2), (2, 4)])
+        # det 0 reads "singular" also when the first column's gcd is not 1
+        for m in [(1, 2), (2, 4)], [(2, 1), (4, 2)], [(2, 0), (0, 0)], [(0, 0), (0, 0)]:
+            with pytest.raises(PreconditionError, match="^matrix is singular$"):
+                lattice.unimodular_inverse(m)
 
     @pytest.mark.parametrize("m", [[(2, 0), (0, 1)], [(1, 1), (1, -1)], [(1, 0, 0), (0, 3, 1), (0, 1, 1)]])
     def test_det_two(self, m):
