@@ -11,7 +11,7 @@ half-integers stored as doubled ints; the verdict is decided symbolically
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -132,22 +132,14 @@ def build_certificate(
                 j=step.j,
             )
         )
-    base = _canonical_base(fiber_dim)
     draft = Certificate(
         fiber_dim=fiber_dim,
         cut_out=cut_out,
-        base_doubled=base,
+        base_doubled=_canonical_base(fiber_dim),
         corrections=tuple(corrections),
         proven=False,
     )
-    result = check_certificate(draft)
-    return Certificate(
-        fiber_dim=fiber_dim,
-        cut_out=cut_out,
-        base_doubled=base,
-        corrections=tuple(corrections),
-        proven=result.proven,
-    )
+    return replace(draft, proven=check_certificate(draft).proven)
 
 
 def check_certificate(cert: Certificate) -> CheckResult:

@@ -50,6 +50,8 @@ def _resolve_centered(f: LatticeFan, spec: str | None):
                 i = int(p) if p.isdecimal() else -1
             if not 0 <= i < f.n_rays:
                 raise PreconditionError(f"unknown ray {p!r}")
+            if i in idx:
+                raise PreconditionError(f"ray {p!r} is given twice")
             idx.append(i)
         return tuple(sorted(idx))
     m = minimal_p_dimension(f)
@@ -216,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("bundle", help="fan of a split projective bundle over P1")
-    p.add_argument("-a", "--degrees", required=True, type=_int_list, help="comma-separated integers a0,...,am")
+    p.add_argument("-a", "--degrees", required=True, type=_int_list,
+                   help="comma-separated integers a0,...,am; write a list that starts with a negative number as -a=-1,2")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_bundle)
 

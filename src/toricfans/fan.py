@@ -5,19 +5,19 @@ A LatticeFan stores ray generators in Z^n plus the maximal cones as sorted
 index tuples.  The cones of lower dimension are exactly the subsets of
 maximal cones (simpliciality).  The face index is, per ray, the bitmask of
 the maximal cones (by position) that contain it (``LatticeFan.ray_cones``):
-a ray set is a cone iff the AND of its masks is nonzero.  ``spans_cone``
-reads the masks; the set of all faces and the minimal non-faces come from one
-depth-first walk over the faces (``LatticeFan.faces``,
-``LatticeFan.minimal_nonfaces``), whose cost grows with faces x the rays that
-share a cone with every ray of the face.  The wall table
-(``LatticeFan.walls``) maps each wall's ray bitmask to its opposite rays; it
-is the only wall structure that ``wall_neighbors``, ``wall_relation`` (whose
-memo is keyed by the same bitmask) and the ch2 link walk read.  ``validate``
-is one sweep over the sorted maximal cones: ``lattice.cone_determinants``
-eliminates each prefix that neighbouring cones share once, and the walls
-pair by the same bitmask keys (each cone's mask with one bit cleared) in a
-pairing of its own, which records each owner's position and side and runs on
-malformed fans.
+a ray set is a cone iff the AND of its masks is nonzero.  It is the only
+face index: ``spans_cone`` reads the masks, and so does the depth-first walk
+over the faces behind ``LatticeFan.minimal_nonfaces``, which keeps no face
+set and whose cost grows with faces x the rays that share a cone with every
+ray of the face.  The wall table (``LatticeFan.walls``) maps each wall's ray
+bitmask to its opposite rays; it is the only wall structure that
+``wall_neighbors``, ``wall_relation`` (whose memo is keyed by the same
+bitmask; it reads each relation off a dual basis of a valid fan) and the
+ch2 link walk read.  ``validate`` is one sweep over the sorted maximal
+cones: ``lattice.cone_determinants`` eliminates each prefix that
+neighbouring cones share once, and the walls pair by the same bitmask keys
+(each cone's mask with one bit cleared) in a pairing of its own, which
+records each owner's position and side and runs on malformed fans.
 
 Per-cone data (determinants, dual bases) may be handed from a fan to the fan
 a surgery builds from it (``star_subdivision``, ``contract``, ``flip``): an
@@ -36,7 +36,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import lattice
-from .errors import FanValidationError, PreconditionError, ToricError
+from .errors import FanValidationError, PreconditionError
 from .lattice import IntVector
 
 if TYPE_CHECKING:
@@ -73,8 +73,8 @@ def _canon_cones(cones: Iterable[Iterable[int]]) -> tuple[ConeRef, ...]:
 
 
 class LatticeFan:
-    """Immutable fan; all derived data (ray cone masks, face set, minimal
-    non-faces, cone determinants, dual bases, wall and primitive relations)
+    """Immutable fan; all derived data (ray cone masks, minimal non-faces,
+    wall table, cone determinants, dual bases, wall and primitive relations)
     is computed on first use and kept.  A surgery output starts with the
     determinants and dual bases that the fan it was built from holds for
     the cones they share, ray vectors included (``_inherit_cone_data``)."""
@@ -166,14 +166,16 @@ class LatticeFan:
         return table
 
     @cached_property
-    def _face_walk(self) -> tuple[set[int], tuple[int, ...]]:
-        """One depth-first walk over the faces in ascending bitmask order.
+    def minimal_nonfaces(self) -> tuple[int, ...]:
+        """Bitmasks of the minimal non-faces (the primitive collections), in
+        ascending order, from one depth-first walk over the faces in
+        ascending bitmask order.
 
         A face F extends by each ray u below its lowest ray: F | u is a face
         iff the AND of the ray masks is nonzero.  Otherwise it is a non-face,
-        minimal iff every F | u - x (x in F) is a face; those have smaller
-        bitmasks than F, so the walk has already met them.  Each minimal
-        non-face P is found once, from the face P minus its lowest ray.
+        minimal iff for every x in F the AND of the masks over F | u - x is
+        nonzero.  Each minimal non-face P is found once, from the face P
+        minus its lowest ray.
 
         When |F| >= 2, only the rays u that share a cone with every ray x of
         F are tried: otherwise {x, u} is a non-face properly inside F | u,
@@ -185,7 +187,6 @@ class LatticeFan:
             rays = ray_mask(cone)
             for u in cone:
                 near[u] |= rays
-        faces: set[int] = set()
         nonfaces = []
         # (face, its lowest ray or n for the zero cone, AND of its masks,
         # AND of its rays' neighbours); children are pushed highest ray
@@ -193,41 +194,30 @@ class LatticeFan:
         stack = [(0, n, (1 << len(self.max_cones)) - 1, -1)]
         while stack:
             face, low, common, shared_near = stack.pop()
-            faces.add(face)
             todo = (shared_near if face & (face - 1) else -1) & ((1 << low) - 1)
             while todo:
                 u = todo.bit_length() - 1
                 todo ^= 1 << u
-                ext = face | 1 << u
-                shared = common & masks[u]
-                if shared:
+                mask = masks[u]
+                if common & mask:
                     below = shared_near & near[u]
                     if (below if face else -1) & ((1 << u) - 1):
-                        stack.append((ext, u, shared, below))
-                    else:  # a leaf: nothing below u to extend it by
-                        faces.add(ext)
+                        stack.append((face | 1 << u, u, common & mask, below))
                     continue
                 rest = face
-                while rest:
+                while rest:  # is some F | u - x a non-face?
                     bit = rest & -rest
-                    if ext ^ bit not in faces:
-                        break
                     rest ^= bit
+                    shared, others = mask, face ^ bit
+                    while others and shared:
+                        x = others & -others
+                        others ^= x
+                        shared &= masks[x.bit_length() - 1]
+                    if not shared:
+                        break
                 else:
-                    nonfaces.append(ext)
-        return faces, tuple(sorted(nonfaces))
-
-    @property
-    def faces(self) -> set[int]:
-        """Bitmask of every cone over the rays, the zero cone included.
-        Read-only."""
-        return self._face_walk[0]
-
-    @property
-    def minimal_nonfaces(self) -> tuple[int, ...]:
-        """Bitmasks of the minimal non-faces (the primitive collections), in
-        ascending order."""
-        return self._face_walk[1]
+                    nonfaces.append(face | 1 << u)
+        return tuple(sorted(nonfaces))
 
     @cached_property
     def _cone_dets(self) -> dict[ConeRef, int]:
@@ -518,11 +508,12 @@ def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
 
 def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
     """Integer vector alpha over all rays with sum_v alpha_v * v = 0,
-    normalized to +1 on the two rays opposite the wall.
+    normalized to +1 on the two rays opposite the wall, for a valid fan.
 
-    The wall coefficients are the coordinates of -(u1 + u2) in the basis of
-    the cone wall + u1, whose u1 coordinate must vanish.  Memoised on the
-    fan by the wall's ray bitmask."""
+    The wall coefficients are the coordinates of -(u1 + u2) in the dual
+    basis of the cone wall + u1, whose u1 coordinate must vanish.  Memoised
+    on the fan by the wall's ray bitmask."""
+    f.require_valid()
     wall = tuple(wall)
     key = ray_mask(wall)
     alpha = f._wall_relations.get(key)
@@ -530,26 +521,13 @@ def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
         return alpha
     u1, u2 = wall_neighbors(f, wall)
     target = [-(a + b) for a, b in zip(f.vector(u1), f.vector(u2))]
+    host = tuple(sorted(wall + (u1,)))
+    coords = [sum(map(mul, m, target)) for m in f.dual_basis(host)]
+    if coords[host.index(u1)]:
+        raise FanValidationError(f"wall {f.cone_labels(wall)} has no integral relation")
     alpha = [0] * f.n_rays
-    if wall:
-        host = tuple(sorted(wall + (u1,)))
-        try:
-            duals = f.dual_basis(host)
-        except ToricError:  # the host cone is not unimodular: an invalid fan
-            cols = tuple(tuple(f.vector(w)[d] for w in wall) for d in range(f.rank))
-            basis, sol = wall, lattice.solve_integer_system(cols, target)
-        else:
-            basis, sol = host, [sum(map(mul, m, target)) for m in duals]
-            if sol[host.index(u1)]:
-                sol = lattice.NO_SOLUTION
-        if isinstance(sol, str):
-            raise FanValidationError(
-                f"wall {f.cone_labels(wall)} has no integral relation ({sol})"
-            )
-        for v, c in zip(basis, sol):  # u1's coordinate 0 is overwritten below
-            alpha[v] = c
-    elif any(t != 0 for t in target):
-        raise FanValidationError("opposite rays of an empty wall must cancel")
+    for v, c in zip(host, coords):  # u1's coordinate 0 is overwritten below
+        alpha[v] = c
     alpha[u1] = alpha[u2] = 1
     alpha = f._wall_relations[key] = tuple(alpha)
     return alpha

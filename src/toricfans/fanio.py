@@ -276,28 +276,17 @@ def reconstruct_fan(p: RelationPresentation, dim: int) -> LatticeFan:
     if not report.ok:
         raise ReconstructionError(f"reconstructed fan invalid: {report}")
 
+    # the fan's labels are the presentation's names: compare by name
     recomputed = {
-        frozenset(rel.collection): tuple(
-            sorted((fan.ray_label(i), mu) for i, mu in zip(rel.focus, rel.coefficients))
-        )
+        frozenset(fan.cone_labels(rel.collection)):
+            tuple(sorted(zip(fan.cone_labels(rel.focus), rel.coefficients)))
         for rel in primitive_relations(fan)
     }
-    presented = {
-        frozenset(index[n] for n in rel.lhs): tuple(sorted(rel.rhs)) for rel in p.relations
-    }
-    presented_named = {
-        frozenset(names[i] for i in k): v for k, v in presented.items()
-    }
-    recomputed_named = {
-        frozenset(fan.ray_label(i) for i in k): v for k, v in recomputed.items()
-    }
-    if presented_named != recomputed_named:
-        missing = set(presented_named) - set(recomputed_named)
-        extra = set(recomputed_named) - set(presented_named)
-        changed = {
-            k for k in set(presented_named) & set(recomputed_named)
-            if presented_named[k] != recomputed_named[k]
-        }
+    presented = {frozenset(rel.lhs): tuple(sorted(rel.rhs)) for rel in p.relations}
+    if presented != recomputed:
+        missing = set(presented) - set(recomputed)
+        extra = set(recomputed) - set(presented)
+        changed = {k for k in set(presented) & set(recomputed) if presented[k] != recomputed[k]}
         raise ReconstructionError(
             "recomputed primitive relations do not match the presentation; "
             f"missing={sorted(map(sorted, missing))} extra={sorted(map(sorted, extra))} "

@@ -93,7 +93,7 @@ def faces_by_submasks(f):
     cone, then every face extended by every ray above its top bit, keeping
     the non-faces whose facets are all faces (a minimal non-face minus its
     highest ray is a face).  The reference for the walk behind
-    ``LatticeFan.faces`` and ``LatticeFan.minimal_nonfaces``."""
+    ``LatticeFan.minimal_nonfaces``."""
     faces = {0}
     for cone in f.max_cones:
         mask = sum(1 << i for i in cone)

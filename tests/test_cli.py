@@ -50,6 +50,14 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "minimal_p_dimension: none" in out
 
+    def test_repeated_centered_ray(self, fan_file, capsys):
+        f = b3()
+        spec = f"{f.ray_label(0)},0,1"  # ray 0 by its label, then by its index
+        assert main(["analyze", fan_file(f), "--centered", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ray '0' is given twice\n"
+        assert "centered collection" not in captured.out
+
     def test_invalid_fan_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"
         path.write_text("TORICFAN 1\ndim 2 rays 3 maxcones 2\n1 0\n0 1\n-1 -1\n0 1\n1 2\n")
@@ -148,6 +156,11 @@ class TestReconstructAndBundle:
         assert main(["screen", str(out)]) == 0
         assert "minimum: -1" in capsys.readouterr().out
 
+    def test_bundle_with_negative_first_degree(self, tmp_path, capsys):
+        out = tmp_path / "bundle.fan"
+        assert main(["bundle", "-a=-1,2", "-o", str(out)]) == 0
+        assert "bundle fan: dim 2, rays 4" in capsys.readouterr().out
+
 
 class TestBatch:
     def test_batch(self, tmp_path, capsys):
@@ -200,6 +213,7 @@ class TestDiagnose:
     "argv,code",
     [
         ("analyze {b3} --centered 99", 1),
+        ("analyze {b3} --centered 0,0,1", 1),
         ("pipeline {b3} --centered -1", 1),
         ("diagnose-m3 {fan2268} --centered 0,1,2,99", 1),
         ("reconstruct {binary} -d 2 -o {out}", 1),

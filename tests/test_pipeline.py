@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricfans import birational
+from toricfans import birational, pipeline
 from toricfans.birational import BlowdownSpec, contract, blowup
 from toricfans.fan import LatticeFan
 from toricfans.errors import PipelineError, PreconditionError, UnsupportedError
@@ -169,6 +169,23 @@ class TestRunStep1:
             run_step1(xp, cent)
         assert err.value.kind == "contractibility"
         assert "is not contractible" in str(err.value)
+
+    def test_flip_phase_moving_a_ray_is_a_verification_error(self, monkeypatch):
+        # flip itself rejects a moved ray first, so the pipeline's own check
+        # is reached through a multi_flip that swaps the first two rays
+        _, xp, cent = flip_fixture_6d()
+        real = pipeline.multi_flip
+
+        def moved(f, specs):
+            y = real(f, specs)
+            swap = [1, 0] + list(range(2, y.n_rays))
+            return LatticeFan(y.rank, [y.vector(i) for i in swap], [[swap[i] for i in c] for c in y.max_cones])
+
+        monkeypatch.setattr(pipeline, "multi_flip", moved)
+        with pytest.raises(PipelineError) as err:
+            run_step1(xp, cent)
+        assert err.value.kind == "verification"
+        assert "flip phase changed the ray set" in str(err.value)
 
     def test_log_keeps_the_passed_report(self):
         _, xp, cent = flip_fixture_6d()
@@ -344,13 +361,6 @@ class TestVerifyOutput:
         assert not rep.ok
         failing = {c.name for c in rep.checks if not c.ok}
         assert "rpc-empty" in failing and "bundle-locus-codim" in failing
-
-    def test_ray_preservation_check(self):
-        f = b3()
-        rep = verify_output(f, B3_CENTERED, reference_ray_vectors=tuple(r.vector for r in f.rays))
-        assert rep.ok
-        rep2 = verify_output(f, B3_CENTERED, reference_ray_vectors=((9, 9, 9),))
-        assert not rep2.ok
 
 
 class TestStepInvariants:
