@@ -20,10 +20,8 @@ from .chern import (
     anticanonical_degree,
     candidate_bound_predicate,
     ch2_dot_invariant_surface,
-    curve_divisor_pairing,
     divisor_dot_orbit,
     screen_2fano,
-    wall_curve_class,
 )
 from .pipeline import detect_exceptional, diagnose_m3, replay, run_step1, verify_output
 from .certificate import build_certificate, check_certificate, evaluate_certificate
@@ -60,10 +58,8 @@ __all__ = [
     "anticanonical_degree",
     "candidate_bound_predicate",
     "ch2_dot_invariant_surface",
-    "curve_divisor_pairing",
     "divisor_dot_orbit",
     "screen_2fano",
-    "wall_curve_class",
     "detect_exceptional",
     "diagnose_m3",
     "replay",

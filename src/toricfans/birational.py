@@ -5,7 +5,8 @@ A flip is computed as blowup-at-the-focus followed by the blowdown of the
 collection onto the new ray, and independently cross-checked against direct
 cone surgery (swapping the two triangulations of the non-simplicial cone
 spanned by collection and focus).  Two independent constructions of the same
-fan is the strongest runtime test available, so flip() always runs both.
+fan is the strongest runtime test available, so flip() always runs both; the
+surgery shares no cone data with the other construction, only with f.
 """
 
 from __future__ import annotations
@@ -134,13 +135,11 @@ def blowup(f: LatticeFan, center: ConeRef, label: str | None = None):
     return out, rel
 
 
-def _flip_by_surgery(f: LatticeFan, spec: FlipSpec, flipped: LatticeFan | None = None) -> LatticeFan:
+def _flip_by_surgery(f: LatticeFan, spec: FlipSpec) -> LatticeFan:
     """Direct cone surgery: inside the cone spanned by collection + focus,
     replace the subdivision through <focus> by the one through <collection>,
-    extending each replaced maximal cone by its ambient rays.
-
-    The output starts with the cone data of f and of ``flipped`` (the other
-    construction, whose new cones are these when the two agree)."""
+    extending each replaced maximal cone by its ambient rays.  The kept
+    cones take their cone data from f; the new ones are computed afresh."""
     rel = spec.relation
     abar = list(rel.collection)
     cbar = set(rel.focus)
@@ -171,8 +170,6 @@ def _flip_by_surgery(f: LatticeFan, spec: FlipSpec, flipped: LatticeFan | None =
             new_cones.append(tuple(sorted(set(abar) | (cbar - {c}) | set(rho))))
     out = LatticeFan(f.rank, f.rays, new_cones)
     _inherit_cone_data(out, f, range(f.n_rays))
-    if flipped is not None:
-        _inherit_cone_data(out, flipped, range(flipped.n_rays))
     report = out.validation
     if not report.ok:
         raise FlipError(f"surgery output invalid: {report}")
@@ -204,7 +201,7 @@ def flip(f: LatticeFan, spec: FlipSpec) -> LatticeFan:
         out = contract(mid, BlowdownSpec(down))
     except (PreconditionError, ContractionError) as e:
         raise FlipError(f"flip of {rel.describe(f)} failed: {e}") from e
-    surgery = _flip_by_surgery(f, spec, out)
+    surgery = _flip_by_surgery(f, spec)
     if out != surgery:
         raise FlipError(
             f"flip cross-check failed for {rel.describe(f)}: blowup/blowdown and "

@@ -59,9 +59,6 @@ class Certificate:
     corrections: tuple[Correction, ...]
     proven: bool
 
-    def base_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, 2) for c in self.base_doubled)
-
     def describe(self) -> str:
         m = self.fiber_dim
         base = f"{_fmt_half(m - 1)}*(a0+a1) - (" + " + ".join(f"a{i}" for i in range(2, m + 1)) + ")"
@@ -207,8 +204,8 @@ def base_value(m: int, a: Sequence[int]) -> Fraction:
 # -- serialization -------------------------------------------------------------
 
 
-def certificate_to_dict(cert: Certificate, log: TransformLog | None = None) -> dict:
-    doc = {
+def certificate_to_dict(cert: Certificate, log: TransformLog) -> dict:
+    return {
         "cert_version": CERT_VERSION,
         "fiber_dim": cert.fiber_dim,
         "cut_out": cert.cut_out,
@@ -227,9 +224,7 @@ def certificate_to_dict(cert: Certificate, log: TransformLog | None = None) -> d
             for c in cert.corrections
         ],
         "verdict": "proven" if cert.proven else "unproven",
-    }
-    if log is not None:
-        doc["steps"] = [
+        "steps": [
             {
                 "kind": s.kind,
                 "i": s.i,
@@ -239,9 +234,9 @@ def certificate_to_dict(cert: Certificate, log: TransformLog | None = None) -> d
                 "parameter_ray": s.parameter_ray_label,
             }
             for s in log.steps
-        ]
-        doc["centered"] = [log.initial.ray_label(i) for i in log.centered]
-    return doc
+        ],
+        "centered": [log.initial.ray_label(i) for i in log.centered],
+    }
 
 
 def certificate_from_dict(doc: dict) -> Certificate:

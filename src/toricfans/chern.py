@@ -1,11 +1,11 @@
-"""Toric intersection theory on smooth complete fans: curve/divisor pairings,
-divisor-times-orbit reduction, ch2 against torus-invariant surfaces (one walk
-around each surface's link: each step looks its wall up by ray bitmask in the
-fan's wall table and wall-relation memo; a link that winds more than once,
-which ``validate`` lets through, is rejected by Noether's formula), and the
-numeric screens.
+"""Toric intersection theory on smooth complete fans: divisor-times-orbit
+reduction, ch2 against torus-invariant surfaces (one walk around each
+surface's link: each step looks its wall up by ray bitmask in the fan's wall
+table and wall-relation memo; a link that winds more than once, which
+``validate`` lets through, is rejected by Noether's formula), the
+anticanonical degree of a curve class, and the numeric screens.
 
-All arithmetic is exact: big-integer curve classes and Fraction-valued cycle
+All arithmetic is exact: integer wall relations and Fraction-valued cycle
 coefficients.  ch2 values are half-integers and print exactly ("3/2").
 """
 
@@ -29,27 +29,6 @@ class CycleExpression:
 
     def __iter__(self):
         return iter(self.terms)
-
-
-def curve_divisor_pairing(f: LatticeFan, curve: CurveClass, ray: int) -> int:
-    """C . V(ray): the ray's coordinate of the curve class."""
-    if len(curve.alpha) != f.n_rays:
-        raise PreconditionError("curve class indexed over a different ray set")
-    return curve.alpha[ray]
-
-
-def wall_curve_class(f: LatticeFan, wall: ConeRef) -> CurveClass:
-    """Curve class of the invariant curve V(wall) for an (n-1)-cone: the
-    integral relation u' + u'' + sum b_w w = 0 across the wall."""
-    if len(wall) != f.rank - 1:
-        raise PreconditionError(f"wall must have dimension {f.rank - 1}")
-    return CurveClass(wall_relation(f, wall))
-
-
-def _dual_covector(f: LatticeFan, cone: ConeRef, ray: int) -> tuple[int, ...]:
-    """m in the dual lattice with <m, ray> = 1 and <m, w> = 0 for the other
-    rays of ``cone`` (integral by unimodularity)."""
-    return f.dual_basis(cone)[cone.index(ray)]
 
 
 def divisor_dot_orbit(f: LatticeFan, ray: int, orbit: ConeRef) -> CycleExpression:
@@ -77,7 +56,7 @@ def divisor_dot_orbit(f: LatticeFan, ray: int, orbit: ConeRef) -> CycleExpressio
         return CycleExpression(codim, tuple(terms))
 
     host = next(c for c in f.max_cones if set(orbit) <= set(c))
-    m = _dual_covector(f, host, ray)
+    m = f.dual_basis(host)[host.index(ray)]  # <m, ray> = 1, <m, w> = 0 on the rest of host
     acc: dict[ConeRef, Fraction] = {}
     for w in range(f.n_rays):
         if w in host:

@@ -25,6 +25,7 @@ from .primitive import (
     opponents,
     primitive_relations,
     relevant_collections,
+    require_centered,
 )
 
 
@@ -53,7 +54,7 @@ def _resolve_centered(f: LatticeFan, spec: str | None):
             if i in idx:
                 raise PreconditionError(f"ray {p!r} is given twice")
             idx.append(i)
-        return tuple(sorted(idx))
+        return require_centered(f, idx)
     m = minimal_p_dimension(f)
     if m is None:
         raise PreconditionError("fan has no centered primitive collection")
@@ -62,6 +63,7 @@ def _resolve_centered(f: LatticeFan, spec: str | None):
 
 def _cmd_analyze(args) -> int:
     f = _load_fan(args.fan)
+    cent = None if args.centered is None else _resolve_centered(f, args.centered)
     rho = f.n_rays - f.rank
     print(f"dim {f.rank}  rays {f.n_rays}  maxcones {len(f.max_cones)}  picard_rank {rho}")
     print(f"fano: {is_fano(f)}")
@@ -79,7 +81,8 @@ def _cmd_analyze(args) -> int:
     for line in opp_lines:
         print(line)
     if m is not None:
-        cent = _resolve_centered(f, args.centered)
+        if cent is None:
+            cent = _resolve_centered(f, None)
         print(f"centered collection: {', '.join(f.cone_labels(cent))}")
         rels = relevant_collections(f, cent)
         print(f"relevant collections: {len(rels)}")

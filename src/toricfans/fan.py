@@ -257,11 +257,6 @@ class LatticeFan:
             raise FanValidationError(str(self.validation))
         return self
 
-    def with_labels(self, labels: Sequence[str | None]) -> "LatticeFan":
-        if len(labels) != self.n_rays:
-            raise PreconditionError("label count differs from ray count")
-        return LatticeFan(self.rank, [r.vector for r in self.rays], self.max_cones, labels)
-
 
 def _inherit_cone_data(child: LatticeFan, parent: LatticeFan, index_map: Sequence[int | None]) -> None:
     """Seed the child's cone determinants and dual bases with the parent's.

@@ -313,9 +313,9 @@ def relations_of_fan(f: LatticeFan) -> RelationPresentation:
 # -- bundle builder --------------------------------------------------------------
 
 
-def build_bundle_over_p1(a: list[int], m: int | None = None) -> LatticeFan:
+def build_bundle_over_p1(a: list[int]) -> LatticeFan:
     """Fan of the projectivized split bundle with degrees ``a`` over P1, in
-    Z^(m+1).
+    Z^(m+1), m = len(a) - 1.
 
     Convention (fixed): fiber rays p_1..p_m are the standard basis e_1..e_m,
     p_0 = -(e_1+...+e_m); base rays u = e_{m+1} and
@@ -324,10 +324,7 @@ def build_bundle_over_p1(a: list[int], m: int | None = None) -> LatticeFan:
     and the base relation u + u' = sum (a_i - a_0) p_i has degree
     2 - sum_i (a_i - a_0).
     """
-    if m is None:
-        m = len(a) - 1
-    if len(a) != m + 1:
-        raise PreconditionError(f"need m+1 = {m + 1} degrees, got {len(a)}")
+    m = len(a) - 1
     if m < 1:
         raise PreconditionError("fiber dimension must be >= 1")
     n = m + 1

@@ -51,10 +51,6 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def gcd_all(entries: Iterable[int]) -> int:
-    return gcd(*entries)
-
-
 def _pivot(rows: list[list[int]], r: int, c: int, scale: int) -> int:
     """Edmonds' integer pivot on rows[r][c]: every other row x becomes
     (x * p - x[c] * rows[r]) // scale, where p = rows[r][c] and scale is the
@@ -260,7 +256,7 @@ def check_inverse(m: Sequence[Sequence[int]], inverse: Sequence[Sequence[int]]) 
 
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff v is nonzero with coprime entries."""
-    return gcd_all(v) == 1
+    return gcd(*v) == 1
 
 
 def has_nonnegative_kernel(rows: Sequence[Sequence[int]]) -> bool:

@@ -67,8 +67,6 @@ class TransformStep:
     j: Optional[int]
     relations: tuple[RelationData, ...]
     removed: tuple[IntVector, ...]
-    added: tuple[IntVector, ...]
-    parameter_ray_vector: IntVector
     parameter_ray_label: str
 
 
@@ -209,7 +207,8 @@ def _contract_step(cur: LatticeFan, rel: PrimitiveRelation, x_vectors):
     """Contract one order-2 relevant relation with the stability checks:
     the centered collection persists, no new opponent pairs appear, and any
     relevant collection of the result was already relevant (with the same
-    relation) except for the single predicted exceptional-transfer shape."""
+    relation) except for the single predicted exceptional-transfer shape.
+    Returns the new fan and the vector of the removed ray."""
     centered_before = _current_x_indices(cur, x_vectors)
     rpc_before = _rpc_by_vectors(cur, centered_before)
     pairs_before = _order2_vector_pairs(cur)
@@ -252,7 +251,7 @@ def _contract_step(cur: LatticeFan, rel: PrimitiveRelation, x_vectors):
             raise PipelineError(
                 "stability", f"unexpected new relevant collection after blowdown: {data.text}"
             )
-    return new, pos, a_vec, b_vec
+    return new, b_vec
 
 
 def run_step1(
@@ -283,14 +282,14 @@ def run_step1(
         r0, r1 = exc.relations[0], exc.relations[1]
         i_pos, j_pos = exc.positions[1], exc.positions[0]
         (c_idx,) = [i for i in r0.collection if i not in cent]
-        c_vec, c_label = cur.vector(c_idx), cur.ray_label(c_idx)
+        c_label = cur.ray_label(c_idx)
         r0_lhs = tuple(cur.vector(i) for i in r0.collection)
         data1 = _relation_data(cur, r1)
-        cur, _, _a1, b1 = _contract_step(cur, r1, x_vectors)
+        cur, b1 = _contract_step(cur, r1, x_vectors)
         # the second relation survives the first contraction verbatim
         r0_now = primitive_relation(cur, tuple(sorted(cur.vector_index[v] for v in r0_lhs)))
         data0 = _relation_data(cur, r0_now)
-        cur, _, _a0, b0 = _contract_step(cur, r0_now, x_vectors)
+        cur, b0 = _contract_step(cur, r0_now, x_vectors)
         steps.append(
             TransformStep(
                 kind="exceptional_pair",
@@ -298,8 +297,6 @@ def run_step1(
                 j=j_pos,
                 relations=(data1, data0),
                 removed=(b1, b0),
-                added=(),
-                parameter_ray_vector=c_vec,
                 parameter_ray_label=c_label,
             )
         )
@@ -321,11 +318,10 @@ def run_step1(
                 raise PipelineError("blowdown-budget", "more than three order-2 relevant relations")
             budget -= 1
             # deterministic order: the first by (position, aux ray, rhs ray)
-            pos, aux, b, rel = ones[0]
+            pos, aux, _, rel = ones[0]
             a_label = cur.ray_label(aux)
             data = _relation_data(cur, rel)
-            cur, pos2, a_vec, b_vec = _contract_step(cur, rel, x_vectors)
-            assert pos2 == pos
+            cur, b_vec = _contract_step(cur, rel, x_vectors)
             steps.append(
                 TransformStep(
                     kind="blowdown",
@@ -333,8 +329,6 @@ def run_step1(
                     j=None,
                     relations=(data,),
                     removed=(b_vec,),
-                    added=(),
-                    parameter_ray_vector=a_vec,
                     parameter_ray_label=a_label,
                 )
             )
@@ -360,8 +354,6 @@ def run_step1(
                 j=xs[1],
                 relations=(_relation_data(cur, rel),),
                 removed=(),
-                added=(),
-                parameter_ray_vector=cur.vector(aux),
                 parameter_ray_label=cur.ray_label(aux),
             )
         )

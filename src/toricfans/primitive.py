@@ -17,9 +17,6 @@ class CurveClass:
 
     alpha: IntVector
 
-    def pairing(self, ray: int) -> int:
-        return self.alpha[ray]
-
 
 @dataclass(frozen=True)
 class PrimitiveRelation:

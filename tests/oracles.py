@@ -6,10 +6,11 @@ collections from scratch on the surgered fan); the two routes are compared in
 the surgery tests.  A brute-force subset search is the reference for the
 package's face-extension enumerator of minimal non-faces, and scans over the
 maximal cones are the references for the face queries that read the fan's
-face bitmask set.  The divisor-times-orbit reduction is the reference for the
-link walk that computes ch2 against invariant surfaces.  The Fraction
-phase-1 simplex is the reference for the integer tableau that decides Gordan's
-alternative, and Fourier-Motzkin elimination an independent second one.
+face bitmask set.  The divisor-times-orbit reduction, paired with V(v) through
+wall curve classes, is the reference for the link walk that computes ch2
+against invariant surfaces.  The Fraction phase-1 simplex is the reference for
+the integer tableau that decides Gordan's alternative, and Fourier-Motzkin
+elimination an independent second one.
 ``validate_reference`` is the tuple-keyed structural check that one sweep
 of ``fan.validate`` replaced, with every determinant by Bareiss elimination.
 The package's former Bareiss determinant, Fraction Gauss-Jordan solver and
@@ -331,11 +332,29 @@ def ch2_by_link_scan(f, tau):
     return Fraction(total, 2)
 
 
+def curve_divisor_pairing(f, curve, ray):
+    """C . V(ray): the ray's coordinate of the curve class."""
+    if len(curve.alpha) != f.n_rays:
+        raise PreconditionError("curve class indexed over a different ray set")
+    return curve.alpha[ray]
+
+
+def wall_curve_class(f, wall):
+    """Curve class of the invariant curve V(wall) for an (n-1)-cone: the
+    integral relation u' + u'' + sum b_w w = 0 across the wall."""
+    from toricfans.fan import wall_relation
+    from toricfans.primitive import CurveClass
+
+    if len(wall) != f.rank - 1:
+        raise PreconditionError(f"wall must have dimension {f.rank - 1}")
+    return CurveClass(wall_relation(f, wall))
+
+
 def ch2_by_orbit_reduction(f, tau):
     """ch2(X) . V(tau) by the composed route ch2 = (1/2) sum_v V(v)^2: each
     V(v).V(tau) is reduced to a curve expression and paired with V(v) again
     through wall curve classes."""
-    from toricfans.chern import divisor_dot_orbit, wall_curve_class
+    from toricfans.chern import divisor_dot_orbit
 
     total = Fraction(0)
     for v in range(f.n_rays):

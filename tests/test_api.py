@@ -1,0 +1,61 @@
+"""Guard against dead public names: every public top-level function or class
+of the package must have a reader, so that API nothing calls is deleted
+rather than kept."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "toricfans"
+
+#: the paper's objects, kept without a caller in src/ or perfbench/:
+#: relation decomposition, the certificate's numeric instantiation and base
+#: term, the relation presentation of a fan, the flip undoing a flip, -K . C
+KEEP = {
+    "decompose_relation",
+    "evaluate_certificate",
+    "base_value",
+    "relations_of_fan",
+    "reverse_spec",
+    "anticanonical_degree",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced(paths):
+    """Every identifier read as a name or an attribute in the files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _traced():
+    """The function names in perfbench/spans.py's TRACED, read without
+    running the file."""
+    for node in _parse(ROOT / "perfbench" / "spans.py").body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]:
+            return {name for funcs in ast.literal_eval(node.value).values() for name in funcs}
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def test_every_public_name_has_a_reader():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    public = {
+        node.name: path.name
+        for path in modules
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert KEEP <= set(public), "a deleted name is still on the keep-list"
+    alive = _referenced(list(PACKAGE.glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))) | _traced() | KEEP
+    dead = sorted(f"{module}:{name}" for name, module in public.items() if name not in alive)
+    assert not dead, f"public names that nothing in the package or perfbench reads: {dead}"
+

@@ -35,7 +35,7 @@ class TestBuild:
     def test_b3_empty_log(self):
         cert = _cert_for(b3(), B3_CENTERED)
         assert cert.corrections == ()
-        assert cert.base_coefficients() == (Fraction(1, 2), Fraction(1, 2), Fraction(-1))
+        assert cert.base_doubled == (1, 1, -2)
         assert cert.proven
 
     def test_fivefold_exceptional_offcut(self):

@@ -9,10 +9,8 @@ from toricfans.chern import (
     anticanonical_degree,
     candidate_bound_predicate,
     ch2_dot_invariant_surface,
-    curve_divisor_pairing,
     divisor_dot_orbit,
     screen_2fano,
-    wall_curve_class,
 )
 from toricfans.errors import FanValidationError, PreconditionError
 from toricfans.fan import LatticeFan, faces_of_dim, star_subdivision, wall_relation
@@ -22,10 +20,18 @@ from toricfans.primitive import primitive_relation, primitive_relations
 from toricfans.certificate import base_value
 
 from fixtures import b3, bl_pt_p2, double_cover_surface, fivefold, p1xp1, p2, p3, pn, product_fan, sixfold, small_zoo
-from oracles import ch2_by_link_scan, ch2_by_orbit_reduction, check_wall_relation
+from oracles import (
+    ch2_by_link_scan,
+    ch2_by_orbit_reduction,
+    check_wall_relation,
+    curve_divisor_pairing,
+    wall_curve_class,
+)
 from test_enumerator import blown_up_fans
 
 
+# curve_divisor_pairing and wall_curve_class are oracles: ch2_by_orbit_reduction
+# pairs through them, and the package's link walk reads wall relations directly
 class TestPairings:
     def test_p2_line(self):
         f = p2()
@@ -101,9 +107,7 @@ class TestDivisorDotOrbit:
                     results = set()
                     hosts = [c for c in fan.max_cones if set(tau) <= set(c)]
                     for host in hosts:
-                        from toricfans import chern
-
-                        m = chern._dual_covector(fan, host, ray)
+                        m = fan.dual_basis(host)[host.index(ray)]
                         acc = Fraction(0)
                         for w in range(fan.n_rays):
                             if w in host:

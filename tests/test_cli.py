@@ -58,6 +58,15 @@ class TestAnalyze:
         assert captured.err == "error: ray '0' is given twice\n"
         assert "centered collection" not in captured.out
 
+    @pytest.mark.parametrize("spec", ["99", "0,0,1", "0,1"])
+    def test_bad_centered_spec_prints_nothing(self, fan_file, capsys, spec):
+        # an unknown or repeated ray, or rays that are not a centered
+        # collection, are rejected before the report starts
+        assert main(["analyze", fan_file(b3()), "--centered", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_invalid_fan_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"
         path.write_text("TORICFAN 1\ndim 2 rays 3 maxcones 2\n1 0\n0 1\n-1 -1\n0 1\n1 2\n")

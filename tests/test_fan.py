@@ -22,7 +22,7 @@ from toricfans.fan import (
     wall_neighbors,
     wall_relation,
 )
-from toricfans.primitive import is_primitive_collection, primitive_relations
+from toricfans.primitive import is_fano, is_primitive_collection, minimal_p_dimension, primitive_relations
 
 import oracles
 from fixtures import (
@@ -79,6 +79,14 @@ def transformed(f, g):
     """The image of f under the lattice automorphism v -> v @ g."""
     rays = [tuple(sum(v[k] * g[k][j] for k in range(f.rank)) for j in range(f.rank)) for v in (r.vector for r in f.rays)]
     return LatticeFan(f.rank, rays, f.max_cones, [r.label for r in f.rays])
+
+
+def permuted(f, new):
+    """f with ray i renumbered new[i]."""
+    rays = [None] * f.n_rays
+    for i, r in enumerate(f.rays):
+        rays[new[i]] = r.vector
+    return LatticeFan(f.rank, rays, [[new[i] for i in cone] for cone in f.max_cones])
 
 
 @st.composite
@@ -597,10 +605,7 @@ class TestGLInvariance:
     @settings(max_examples=25, deadline=None)
     def test_ray_permutation(self, f, data):
         new = data.draw(st.permutations(range(f.n_rays)))  # ray i of f is ray new[i] of g
-        rays = [None] * f.n_rays
-        for i, r in enumerate(f.rays):
-            rays[new[i]] = r.vector
-        g = LatticeFan(f.rank, rays, [[new[i] for i in cone] for cone in f.max_cones])
+        g = permuted(f, new)
         projective, relations, witness = projectivity_witness(f)
         g_relations = projectivity_witness(g)[1]
         assert is_projective(g) == projective
@@ -620,6 +625,49 @@ class TestGLInvariance:
             for a, c in zip(relations, witness):
                 moved_witness[position[moved(a)]] = c
         lattice.check_gordan_witness(g_relations, not projective, moved_witness)
+
+
+def relation_rows(f):
+    return [(r.collection, r.focus, r.coefficients, r.degree, r.alpha) for r in primitive_relations(f)]
+
+
+class TestRelationInvariance:
+    """Metamorphic: the primitive relations are intrinsic to the fan, so a
+    change of lattice basis keeps them, a ray permutation moves them by the
+    permutation, and neither moves Fano-ness or m."""
+
+    fans = st.one_of(st.sampled_from(ZOO + [fivefold(550)]), blown_up_fans())
+
+    @given(fans, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_change_of_basis(self, f, data):
+        g = transformed(f, data.draw(unimodular(f.rank, steps=10)))
+        assert relation_rows(g) == relation_rows(f)
+        assert is_fano(g) == is_fano(f)
+        assert minimal_p_dimension(g) == minimal_p_dimension(f)
+
+    @given(fans, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ray_permutation(self, f, data):
+        new = data.draw(st.permutations(range(f.n_rays)))
+        g = permuted(f, new)
+
+        def moved(r):
+            alpha = [0] * f.n_rays
+            for i, x in enumerate(r.alpha):
+                alpha[new[i]] = x
+            focus = sorted((new[i], mu) for i, mu in zip(r.focus, r.coefficients))
+            return (
+                tuple(sorted(new[i] for i in r.collection)),
+                tuple(i for i, _ in focus),
+                tuple(mu for _, mu in focus),
+                r.degree,
+                tuple(alpha),
+            )
+
+        assert sorted(relation_rows(g)) == sorted(moved(r) for r in primitive_relations(f))
+        assert is_fano(g) == is_fano(f)
+        assert minimal_p_dimension(g) == minimal_p_dimension(f)
 
 
 class TestProjectivity:
@@ -678,7 +726,7 @@ class TestProjectivity:
         # independent of the LP: the classes of the three twisted wall curves
         # sum to zero, and an ample divisor would pair positively with each
         from fixtures import nonprojective_3fold
-        from toricfans.chern import wall_curve_class
+        from oracles import wall_curve_class
 
         f = nonprojective_3fold()
         lab = f.label_index
@@ -709,6 +757,6 @@ def test_fan_equality_and_labels():
     f = b3()
     assert f == b3()
     assert f != p3()
-    relabeled = f.with_labels(["a"] * 5)
+    relabeled = LatticeFan(f.rank, [r.vector for r in f.rays], f.max_cones, ["a"] * 5)
     assert relabeled != f
     assert relabeled.ray_label(0) == "a"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from toricfans.errors import ParseError, PreconditionError, ReconstructionError
 from toricfans.fan import validate
@@ -29,6 +30,7 @@ from fixtures import (
     sixfold,
     small_zoo,
 )
+from test_enumerator import blown_up_fans
 
 
 class TestToricfanFormat:
@@ -38,6 +40,16 @@ class TestToricfanFormat:
         back = parse_fan(text)
         assert back == fan
         assert emit_fan(back) == text  # canonical emission is byte-stable
+
+    @given(blown_up_fans())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_after_blowups(self, fan):
+        # blowups label their rays by joining the center's labels with "+"
+        text = emit_fan(fan)
+        back = parse_fan(text)
+        assert back == fan
+        assert [r.label for r in back.rays] == [r.label for r in fan.rays]
+        assert emit_fan(back) == text
 
     def test_b3_with_labels(self):
         text = emit_fan(b3())
@@ -172,7 +184,7 @@ class TestBundleBuilder:
 
     def test_bad_length(self):
         with pytest.raises(PreconditionError):
-            build_bundle_over_p1([0, 1], m=2)
+            build_bundle_over_p1([0])
 
 
 class TestBatch:
