@@ -19,7 +19,7 @@ from .errors import (
     FlipError,
     PreconditionError,
 )
-from .fan import ConeRef, LatticeFan, Ray, _cones_containing, _inherit_cone_data, spans_cone
+from .fan import ConeRef, LatticeFan, Ray, _cones_containing, _inherit_cone_data, spans_cone, star_subdivision
 from .primitive import PrimitiveRelation, primitive_relation
 
 
@@ -73,6 +73,20 @@ def is_contractible(f: LatticeFan, rel: PrimitiveRelation) -> bool:
     return True
 
 
+def _require_contractible(f: LatticeFan, spec: BlowdownSpec | FlipSpec) -> PrimitiveRelation:
+    """The surgery precondition: f is valid, the spec's relation is the one f
+    derives for its collection, and it is contractible."""
+    f.require_valid()
+    rel = spec.relation
+    if primitive_relation(f, rel.collection).alpha != rel.alpha:
+        raise PreconditionError(
+            f"relation {rel.describe(f)} is not a primitive relation of this fan"
+        )
+    if not is_contractible(f, rel):
+        raise PreconditionError(f"relation {rel.describe(f)} is not contractible")
+    return rel
+
+
 def _drop_ray(f: LatticeFan, removed: int, cones) -> LatticeFan:
     """Rebuild a fan without ray ``removed``, shifting indices down; the
     cones that survive keep their determinants and dual bases."""
@@ -90,15 +104,7 @@ def contract(f: LatticeFan, spec: BlowdownSpec) -> LatticeFan:
     cones, and merge every maximal cone through z by swapping z for the whole
     collection.  The result must validate; failure means the relation was not
     a smooth blowdown."""
-    f.require_valid()
-    rel = spec.relation
-    check = primitive_relation(f, rel.collection)
-    if check.alpha != rel.alpha:
-        raise PreconditionError(
-            f"relation {rel.describe(f)} is not a primitive relation of this fan"
-        )
-    if not is_contractible(f, rel):
-        raise PreconditionError(f"relation {rel.describe(f)} is not contractible")
+    rel = _require_contractible(f, spec)
     z = rel.focus[0]
     tbar = set(rel.collection)
     merged = set()
@@ -123,8 +129,6 @@ def contract(f: LatticeFan, spec: BlowdownSpec) -> LatticeFan:
 def blowup(f: LatticeFan, center: ConeRef, label: str | None = None):
     """Star subdivision at ``center`` plus the canonical new relation
     sum(center) = b, returned for round-trip testing."""
-    from .fan import star_subdivision
-
     out = star_subdivision(f, center, label=label)
     rel = primitive_relation(out, tuple(sorted(center)))
     new_idx = out.n_rays - 1
@@ -180,15 +184,7 @@ def flip(f: LatticeFan, spec: FlipSpec) -> LatticeFan:
     """Flip of a contractible relation sum(a) = sum(c): blowup at <c>, then
     contract the collection onto the new ray.  The ray set is preserved.
     Cross-checked against _flip_by_surgery; disagreement is an error."""
-    f.require_valid()
-    rel = spec.relation
-    check = primitive_relation(f, rel.collection)
-    if check.alpha != rel.alpha:
-        raise PreconditionError(
-            f"relation {rel.describe(f)} is not a primitive relation of this fan"
-        )
-    if not is_contractible(f, rel):
-        raise PreconditionError(f"relation {rel.describe(f)} is not contractible")
+    rel = _require_contractible(f, spec)
     try:
         mid, _ = blowup(f, rel.focus)
         down = primitive_relation(mid, rel.collection)

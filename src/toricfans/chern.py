@@ -24,7 +24,6 @@ from .primitive import CurveClass
 class CycleExpression:
     """Integer/rational combination of orbit closures of one fixed codimension."""
 
-    codim: int
     terms: tuple[tuple[ConeRef, Fraction], ...]
 
     def __iter__(self):
@@ -44,7 +43,6 @@ def divisor_dot_orbit(f: LatticeFan, ray: int, orbit: ConeRef) -> CycleExpressio
     orbit = tuple(sorted(orbit))
     if not spans_cone(f, orbit):
         raise PreconditionError(f"{f.cone_labels(orbit)} does not span a cone")
-    codim = len(orbit) + 1
 
     def transversal(r: int) -> ConeRef | None:
         bigger = tuple(sorted(set(orbit) | {r}))
@@ -53,7 +51,7 @@ def divisor_dot_orbit(f: LatticeFan, ray: int, orbit: ConeRef) -> CycleExpressio
     if ray not in orbit:
         cone = transversal(ray)
         terms = [(cone, Fraction(1))] if cone else []
-        return CycleExpression(codim, tuple(terms))
+        return CycleExpression(tuple(terms))
 
     host = next(c for c in f.max_cones if set(orbit) <= set(c))
     m = f.dual_basis(host)[host.index(ray)]  # <m, ray> = 1, <m, w> = 0 on the rest of host
@@ -69,7 +67,7 @@ def divisor_dot_orbit(f: LatticeFan, ray: int, orbit: ConeRef) -> CycleExpressio
             continue
         acc[cone] = acc.get(cone, Fraction(0)) + coeff
     terms = tuple((c, v) for c, v in sorted(acc.items()) if v != 0)
-    return CycleExpression(codim, terms)
+    return CycleExpression(terms)
 
 
 def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:

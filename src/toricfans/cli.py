@@ -19,8 +19,8 @@ from .errors import CertificateError, PreconditionError, ToricError
 from .fan import LatticeFan, is_projective
 from .pipeline import detect_exceptional, diagnose_m3, run_step1
 from .primitive import (
-    centered_collections,
     is_fano,
+    minimal_centered_collection,
     minimal_p_dimension,
     opponents,
     primitive_relations,
@@ -55,10 +55,10 @@ def _resolve_centered(f: LatticeFan, spec: str | None):
                 raise PreconditionError(f"ray {p!r} is given twice")
             idx.append(i)
         return require_centered(f, idx)
-    m = minimal_p_dimension(f)
-    if m is None:
+    cent = minimal_centered_collection(f)
+    if cent is None:
         raise PreconditionError("fan has no centered primitive collection")
-    return min(c for c in centered_collections(f) if len(c) == m + 1)
+    return cent
 
 
 def _cmd_analyze(args) -> int:
@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centered", help="comma-separated ray labels or indices")
     p.add_argument("--cert", help="write the certificate JSON here")
     p.add_argument("--out", help="write the output fan here")
-    p.add_argument("--cut-out", type=int, default=None, help="centered position cut out by the surface (default 2)")
+    p.add_argument("--cut-out", type=int, choices=(0, 1, 2), default=None,
+                   help="centered position cut out by the surface (default 2)")
     p.add_argument("--allow-non-fano", action="store_true",
                    help="run on non-Fano inputs (structural checks still apply)")
     p.set_defaults(func=_cmd_pipeline)
@@ -249,10 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ToricError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ToricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as e:

@@ -139,25 +139,25 @@ class LatticeFan:
         return {r.label: r.index for r in self.rays if r.label is not None}
 
     @cached_property
-    def ray_cones(self) -> dict[int, int]:
+    def ray_cones(self) -> list[int]:
         """Per ray index, the bitmask of the maximal cones (bit k for
-        ``max_cones[k]``) that contain it; an index in no cone has no entry.
-        Raises ValueError on a negative index.  Read-only."""
-        masks: dict[int, int] = {}
+        ``max_cones[k]``) that contain it.  Built for a valid fan only
+        (``require_valid``).  Read-only."""
+        self.require_valid()
+        masks = [0] * self.n_rays
         for pos, cone in enumerate(self.max_cones):
-            if cone and cone[0] < 0:
-                raise ValueError(f"cone {cone} has a negative ray index")
             for i in cone:
-                masks[i] = masks.get(i, 0) | 1 << pos
+                masks[i] |= 1 << pos
         return masks
 
     @cached_property
     def walls(self) -> dict[int, list[int]]:
         """The wall table: per ray bitmask of an (n-1)-subset of a maximal
         cone, the rays that complete it to the maximal cones containing it
-        (two for every wall of a valid fan), in ``max_cones`` order.  One
-        pass over the cones, each clearing one bit per ray.  A negative
-        index raises ValueError (a negative shift).  Read-only."""
+        (two for every wall), in ``max_cones`` order.  One pass over the
+        cones, each clearing one bit per ray.  Built for a valid fan only
+        (``require_valid``).  Read-only."""
+        self.require_valid()
         table: dict[int, list[int]] = {}
         for cone in self.max_cones:
             rays = ray_mask(cone)
@@ -181,7 +181,7 @@ class LatticeFan:
         F are tried: otherwise {x, u} is a non-face properly inside F | u,
         which is then neither a face nor a minimal non-face."""
         n = self.n_rays
-        masks = [self.ray_cones.get(u, 0) for u in range(n)]
+        masks = self.ray_cones
         near = [0] * n  # per ray, the rays sharing a maximal cone with it
         for cone in self.max_cones:
             rays = ray_mask(cone)
@@ -408,7 +408,7 @@ def _cones_containing(f: LatticeFan, rays: Iterable[int]) -> int:
     masks = f.ray_cones
     common = -1
     for i in rays:
-        common &= masks.get(i, 0)
+        common &= masks[i]
     return common
 
 
@@ -492,8 +492,8 @@ def faces_of_dim(f: LatticeFan, d: int) -> list[ConeRef]:
 
 def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
     """The two rays completing a wall ((n-1)-cone) to its maximal cones,
-    read from the fan's wall table (rays past the last index left out)."""
-    others = sorted({u for u in f.walls.get(ray_mask(wall), ()) if u < f.n_rays})
+    read from the fan's wall table."""
+    others = sorted(f.walls.get(ray_mask(wall), ()))
     if len(others) != 2:
         raise PreconditionError(
             f"wall {f.cone_labels(wall)} is shared by {len(others)} maximal cones, expected 2"

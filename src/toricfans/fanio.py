@@ -28,9 +28,8 @@ from .chern import candidate_bound_predicate, screen_2fano
 from .errors import ParseError, PreconditionError, ReconstructionError, ToricError
 from .fan import LatticeFan
 from .primitive import (
-    centered_collections,
     is_fano,
-    minimal_p_dimension,
+    minimal_centered_collection,
     primitive_relations,
     relevant_collections,
 )
@@ -277,11 +276,7 @@ def reconstruct_fan(p: RelationPresentation, dim: int) -> LatticeFan:
         raise ReconstructionError(f"reconstructed fan invalid: {report}")
 
     # the fan's labels are the presentation's names: compare by name
-    recomputed = {
-        frozenset(fan.cone_labels(rel.collection)):
-            tuple(sorted(zip(fan.cone_labels(rel.focus), rel.coefficients)))
-        for rel in primitive_relations(fan)
-    }
+    recomputed = {frozenset(rel.lhs): rel.rhs for rel in relations_of_fan(fan).relations}
     presented = {frozenset(rel.lhs): tuple(sorted(rel.rhs)) for rel in p.relations}
     if presented != recomputed:
         missing = set(presented) - set(recomputed)
@@ -411,11 +406,9 @@ def classify_file(path: str) -> BatchRow:
         dim, rays = f.rank, f.n_rays
         rho = rays - dim
         fano = is_fano(f)
-        m = minimal_p_dimension(f)
-        rpc = None
-        if m is not None:
-            minimal = sorted(c for c in centered_collections(f) if len(c) == m + 1)
-            rpc = len(relevant_collections(f, minimal[0]))
+        cent = minimal_centered_collection(f)
+        m = None if cent is None else len(cent) - 1
+        rpc = None if cent is None else len(relevant_collections(f, cent))
         _, min_ch2 = screen_2fano(f)
         bound = candidate_bound_predicate(dim, m, rho) if m is not None else False
         return BatchRow(

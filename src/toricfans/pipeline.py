@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import lattice
 from .birational import BlowdownSpec, FlipSpec, contract, flip, is_contractible, multi_flip
 from .errors import ContractionError, DisjointnessError, FlipError, PipelineError, PreconditionError, UnsupportedError
 from .fan import ConeRef, LatticeFan, spans_cone
@@ -76,7 +77,6 @@ class TransformLog:
     centered: ConeRef
     x_vectors: tuple[IntVector, ...]
     steps: tuple[TransformStep, ...]
-    final: LatticeFan
     report: VerificationReport  # verify_output on the final fan, passed
 
 
@@ -112,12 +112,12 @@ class ExceptionalDecomposition:
     positions: tuple[int, ...]
 
 
-def _type1_data(f: LatticeFan, centered: ConeRef):
-    """Relevant relations of shape x + a = b as (position, aux ray, rhs ray,
-    rel), sorted."""
+def _type1_data(centered: ConeRef, rpc):
+    """The relevant relations in ``rpc`` of shape x + a = b as (position,
+    aux ray, rhs ray, rel), sorted."""
     cent = list(centered)
     out = []
-    for q, tag, rel in relevant_collections(f, centered):
+    for q, tag, rel in rpc:
         if tag == "type1":
             (x,) = [i for i in q if i in cent]
             (aux,) = [i for i in q if i not in cent]
@@ -152,7 +152,8 @@ def detect_exceptional(f: LatticeFan, centered: ConeRef) -> ExceptionalDecomposi
     m = len(cent) - 1
     if m not in (2, 3):
         raise UnsupportedError(f"exceptional detection implemented for m in {{2,3}}, got m={m}")
-    ones = _type1_data(f, cent)
+    rpc = relevant_collections(f, cent)
+    ones = _type1_data(cent, rpc)
     cycle = next((c for c in _chains(ones, m + 1) if c[-1][2] == c[0][1]), None)
     if cycle is not None:
         return ExceptionalDecomposition(
@@ -162,7 +163,7 @@ def detect_exceptional(f: LatticeFan, centered: ConeRef) -> ExceptionalDecomposi
         )
     if m == 2:
         return None
-    for q, tag, rel in relevant_collections(f, cent):
+    for q, tag, rel in rpc:
         if tag != "type4":
             continue
         xs = tuple(cent.index(i) for i in q if i in cent)
@@ -179,12 +180,33 @@ def detect_exceptional(f: LatticeFan, centered: ConeRef) -> ExceptionalDecomposi
 
 # -- the driver ----------------------------------------------------------------
 
+#: the PipelineError kind of each error a surgery raises
+_SURGERY_KINDS = {
+    PreconditionError: "contractibility",  # the surgery's own contractibility test
+    ContractionError: "contraction",
+    DisjointnessError: "disjointness",
+    FlipError: "flip",
+}
+
+
+def _surgery(op, f: LatticeFan, spec):
+    """op(f, spec), with a surgery error raised as its PipelineError kind."""
+    try:
+        return op(f, spec)
+    except tuple(_SURGERY_KINDS) as e:
+        raise PipelineError(_SURGERY_KINDS[type(e)], str(e))
+
 
 def _current_x_indices(fan: LatticeFan, x_vectors) -> ConeRef:
     try:
         return tuple(fan.vector_index[v] for v in x_vectors)
     except KeyError as e:
         raise PipelineError("verification", f"centered ray {e} disappeared from the fan")
+
+
+def _relation_at(f: LatticeFan, vectors) -> PrimitiveRelation:
+    """The primitive relation of the collection with these ray vectors."""
+    return primitive_relation(f, [f.vector_index[v] for v in vectors])
 
 
 def _order2_vector_pairs(f: LatticeFan) -> set[frozenset]:
@@ -195,26 +217,20 @@ def _order2_vector_pairs(f: LatticeFan) -> set[frozenset]:
     }
 
 
-def _rpc_by_vectors(f: LatticeFan, centered: ConeRef):
-    out = {}
-    for q, tag, rel in relevant_collections(f, centered):
-        key = frozenset(f.vector(i) for i in q)
-        out[key] = (tag, _relation_data(f, rel))
-    return out
-
-
-def _contract_step(cur: LatticeFan, rel: PrimitiveRelation, x_vectors):
-    """Contract one order-2 relevant relation with the stability checks:
-    the centered collection persists, no new opponent pairs appear, and any
-    relevant collection of the result was already relevant (with the same
-    relation) except for the single predicted exceptional-transfer shape.
-    Returns the new fan and the vector of the removed ray."""
-    centered_before = _current_x_indices(cur, x_vectors)
-    rpc_before = _rpc_by_vectors(cur, centered_before)
+def _contract_step(stage, rel: PrimitiveRelation, x_vectors):
+    """Contract one order-2 relevant relation of a stage (a fan, its centered
+    indices and its relevant collections, each derived once) with the
+    stability checks: the centered collection persists, no new opponent
+    pairs appear, and any relevant collection of the result was already
+    relevant (with the same relation) except for the single predicted
+    exceptional-transfer shape.  Returns the new fan's stage and the vector
+    of the removed ray."""
+    cur, cent, rpc = stage
+    before = {frozenset(d.lhs): d for d in (_relation_data(cur, r) for _, _, r in rpc)}
     pairs_before = _order2_vector_pairs(cur)
-    (x_idx,) = [i for i in rel.collection if i in centered_before]
-    (aux_idx,) = [i for i in rel.collection if i not in centered_before]
-    pos = list(centered_before).index(x_idx)
+    (x_idx,) = [i for i in rel.collection if i in cent]
+    (aux_idx,) = [i for i in rel.collection if i not in cent]
+    pos = cent.index(x_idx)
     b_idx = rel.focus[0]
     a_vec, b_vec = cur.vector(aux_idx), cur.vector(b_idx)
     # predicted transfers: {x_q, x_pos, a} allowed when {x_q, b} was relevant
@@ -222,28 +238,24 @@ def _contract_step(cur: LatticeFan, rel: PrimitiveRelation, x_vectors):
     for q, xv in enumerate(x_vectors):
         if q == pos:
             continue
-        if frozenset({xv, b_vec}) in rpc_before:
+        if frozenset({xv, b_vec}) in before:
             allowed_new.add(frozenset({xv, x_vectors[pos], a_vec}))
 
-    try:
-        new = contract(cur, BlowdownSpec(rel))
-    except PreconditionError as e:  # contract's own contractibility test
-        raise PipelineError("contractibility", str(e))
-    except ContractionError as e:
-        raise PipelineError("contraction", str(e))
-
-    centered_after = _current_x_indices(new, x_vectors)
-    if not is_primitive_collection(new, centered_after):
+    new = _surgery(contract, cur, BlowdownSpec(rel))
+    cent_new = _current_x_indices(new, x_vectors)
+    if not is_primitive_collection(new, cent_new):
         raise PipelineError("verification", "centered collection lost after blowdown")
+    rpc_new = relevant_collections(new, cent_new)
     new_pairs = _order2_vector_pairs(new) - pairs_before
     if new_pairs:
         raise PipelineError(
             "opponents", f"new opponent pairs appeared after blowdown: {sorted(map(sorted, new_pairs))}"
         )
-    rpc_after = _rpc_by_vectors(new, centered_after)
-    for key, (tag, data) in rpc_after.items():
-        if key in rpc_before:
-            if rpc_before[key][1].rhs != data.rhs or rpc_before[key][1].lhs != data.lhs:
+    for _, _, r in rpc_new:
+        data = _relation_data(new, r)
+        key = frozenset(data.lhs)
+        if key in before:
+            if before[key].rhs != data.rhs:
                 raise PipelineError(
                     "stability", f"relevant relation changed across blowdown: {data.text}"
                 )
@@ -251,7 +263,7 @@ def _contract_step(cur: LatticeFan, rel: PrimitiveRelation, x_vectors):
             raise PipelineError(
                 "stability", f"unexpected new relevant collection after blowdown: {data.text}"
             )
-    return new, b_vec
+    return (new, cent_new, rpc_new), b_vec
 
 
 def run_step1(
@@ -275,21 +287,21 @@ def run_step1(
 
     x_vectors = tuple(f.vector(i) for i in cent)
     steps: list[TransformStep] = []
-    cur = f
 
-    exc = detect_exceptional(cur, cent)
+    exc = detect_exceptional(f, cent)
+    # a stage: the current fan, its centered indices, its relevant collections
+    stage = (f, cent, relevant_collections(f, cent))
     if exc is not None and exc.pattern == "cyclic3":
         r0, r1 = exc.relations[0], exc.relations[1]
         i_pos, j_pos = exc.positions[1], exc.positions[0]
         (c_idx,) = [i for i in r0.collection if i not in cent]
-        c_label = cur.ray_label(c_idx)
-        r0_lhs = tuple(cur.vector(i) for i in r0.collection)
-        data1 = _relation_data(cur, r1)
-        cur, b1 = _contract_step(cur, r1, x_vectors)
+        r0_lhs = [f.vector(i) for i in r0.collection]
+        data1 = _relation_data(f, r1)
+        stage, b1 = _contract_step(stage, r1, x_vectors)
         # the second relation survives the first contraction verbatim
-        r0_now = primitive_relation(cur, tuple(sorted(cur.vector_index[v] for v in r0_lhs)))
-        data0 = _relation_data(cur, r0_now)
-        cur, b0 = _contract_step(cur, r0_now, x_vectors)
+        r0_now = _relation_at(stage[0], r0_lhs)
+        data0 = _relation_data(stage[0], r0_now)
+        stage, b0 = _contract_step(stage, r0_now, x_vectors)
         steps.append(
             TransformStep(
                 kind="exceptional_pair",
@@ -297,31 +309,22 @@ def run_step1(
                 j=j_pos,
                 relations=(data1, data0),
                 removed=(b1, b0),
-                parameter_ray_label=c_label,
+                parameter_ray_label=f.ray_label(c_idx),
             )
         )
-        leftover = [
-            (q, tag, rel)
-            for q, tag, rel in relevant_collections(cur, _current_x_indices(cur, x_vectors))
-            if tag == "type1"
-        ]
-        if leftover:
+        if any(tag == "type1" for _, tag, _ in stage[2]):
             raise PipelineError("type", "an order-2 relevant relation survived the exceptional pair")
     else:
         budget = 3
-        while True:
-            cent_now = _current_x_indices(cur, x_vectors)
-            ones = _type1_data(cur, cent_now)
-            if not ones:
-                break
+        while ones := _type1_data(stage[1], stage[2]):
             if budget == 0:
                 raise PipelineError("blowdown-budget", "more than three order-2 relevant relations")
             budget -= 1
             # deterministic order: the first by (position, aux ray, rhs ray)
             pos, aux, _, rel = ones[0]
-            a_label = cur.ray_label(aux)
+            cur = stage[0]
             data = _relation_data(cur, rel)
-            cur, b_vec = _contract_step(cur, rel, x_vectors)
+            stage, b_vec = _contract_step(stage, rel, x_vectors)
             steps.append(
                 TransformStep(
                     kind="blowdown",
@@ -329,13 +332,12 @@ def run_step1(
                     j=None,
                     relations=(data,),
                     removed=(b_vec,),
-                    parameter_ray_label=a_label,
+                    parameter_ray_label=cur.ray_label(aux),
                 )
             )
 
     # flip phase: everything left must be of shape x_i + x_j + a = b + c
-    cent_now = _current_x_indices(cur, x_vectors)
-    leftovers = relevant_collections(cur, cent_now)
+    cur, cent_now, leftovers = stage
     specs = []
     flip_meta = []
     for q, tag, rel in sorted(leftovers, key=lambda t: t[0]):
@@ -359,19 +361,13 @@ def run_step1(
         )
     if specs:
         before_rays = tuple(r.vector for r in cur.rays)
-        try:
-            cur = multi_flip(cur, specs)
-        except DisjointnessError as e:
-            raise PipelineError("disjointness", str(e))
-        except PreconditionError as e:  # flip's own contractibility test
-            raise PipelineError("contractibility", str(e))
-        except FlipError as e:
-            raise PipelineError("flip", str(e))
+        cur = _surgery(multi_flip, cur, specs)
         if tuple(r.vector for r in cur.rays) != before_rays:
             raise PipelineError("verification", "flip phase changed the ray set")
         steps.extend(flip_meta)
 
-    report = verify_output(cur, _current_x_indices(cur, x_vectors))
+    # the flips keep every ray in place, so the centered indices still hold
+    report = verify_output(cur, cent_now)
     if not report.ok:
         raise PipelineError("verification", str(report))
 
@@ -380,7 +376,6 @@ def run_step1(
         centered=cent,
         x_vectors=x_vectors,
         steps=tuple(steps),
-        final=cur,
         report=report,
     )
     return cur, log
@@ -393,13 +388,10 @@ def verify_output(y: LatticeFan, centered: ConeRef) -> VerificationReport:
     checks: list[CheckItem] = []
     cent = tuple(sorted(set(centered)))
     is_pc = is_primitive_collection(y, cent)
-    total = [0] * y.rank
-    for i in cent:
-        for d, v in enumerate(y.vector(i)):
-            total[d] += v
+    total = lattice.vec_sum([y.vector(i) for i in cent], y.rank)
     centered_ok = is_pc and all(t == 0 for t in total)
     checks.append(
-        CheckItem("centered-primitive", centered_ok, f"{y.cone_labels(cent)} sums to {tuple(total)}")
+        CheckItem("centered-primitive", centered_ok, f"{y.cone_labels(cent)} sums to {total}")
     )
     if centered_ok:
         rpc = relevant_collections(y, cent)
@@ -445,14 +437,10 @@ def replay(log: TransformLog) -> LatticeFan:
     for step in log.steps:
         if step.kind in ("blowdown", "exceptional_pair"):
             for data in step.relations:
-                idx = tuple(sorted(cur.vector_index[v] for v in data.lhs))
-                rel = primitive_relation(cur, idx)
-                cur = contract(cur, BlowdownSpec(rel))
+                cur = contract(cur, BlowdownSpec(_relation_at(cur, data.lhs)))
         elif step.kind == "flip":
             (data,) = step.relations
-            idx = tuple(sorted(cur.vector_index[v] for v in data.lhs))
-            rel = primitive_relation(cur, idx)
-            cur = flip(cur, FlipSpec(rel))
+            cur = flip(cur, FlipSpec(_relation_at(cur, data.lhs)))
         else:
             raise PipelineError("replay", f"unknown step kind {step.kind}")
     return cur

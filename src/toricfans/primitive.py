@@ -113,6 +113,12 @@ def centered_collections(f: LatticeFan) -> list[ConeRef]:
     return [r.collection for r in primitive_relations(f) if r.centered]
 
 
+def minimal_centered_collection(f: LatticeFan) -> ConeRef | None:
+    """The default centered collection: the lexicographically first centered
+    collection of minimal order; None when there is none."""
+    return min(centered_collections(f), key=lambda c: (len(c), c), default=None)
+
+
 def minimal_p_dimension(f: LatticeFan) -> int | None:
     """min |P| - 1 over centered primitive collections; None when no centered
     collection exists (possible for proper non-projective fans)."""

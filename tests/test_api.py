@@ -1,6 +1,6 @@
-"""Guard against dead public names: every public top-level function or class
-of the package must have a reader, so that API nothing calls is deleted
-rather than kept."""
+"""Guard against dead public names and dead fields: every public top-level
+function or class of the package, and every field of its dataclasses, must
+have a reader, so that API nothing calls is deleted rather than kept."""
 
 import ast
 from pathlib import Path
@@ -10,12 +10,11 @@ PACKAGE = ROOT / "src" / "toricfans"
 
 #: the paper's objects, kept without a caller in src/ or perfbench/:
 #: relation decomposition, the certificate's numeric instantiation and base
-#: term, the relation presentation of a fan, the flip undoing a flip, -K . C
+#: term, the flip undoing a flip, -K . C
 KEEP = {
     "decompose_relation",
     "evaluate_certificate",
     "base_value",
-    "relations_of_fan",
     "reverse_spec",
     "anticanonical_degree",
 }
@@ -59,3 +58,25 @@ def test_every_public_name_has_a_reader():
     dead = sorted(f"{module}:{name}" for name, module in public.items() if name not in alive)
     assert not dead, f"public names that nothing in the package or perfbench reads: {dead}"
 
+
+def _is_dataclass(node):
+    return any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+
+
+def test_every_dataclass_field_has_a_reader():
+    fields = {
+        f"{node.name}.{item.target.id}": item.target.id
+        for path in PACKAGE.glob("*.py")
+        for node in _parse(path).body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+    read = {
+        node.attr
+        for path in list(PACKAGE.glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = sorted(name for name, field in fields.items() if field not in read)
+    assert not unread, f"dataclass fields that nothing in the package or perfbench reads: {unread}"

@@ -230,6 +230,8 @@ class TestDiagnose:
         ("check-cert {list}", 1),
         ("batch {b3} -o {out}", 1),
         ("bundle -a 1,x -o {out}", 2),
+        ("pipeline {b3} --cut-out 5", 2),
+        ("pipeline {b3} --cut-out -1", 2),
     ],
 )
 def test_odd_arguments_exit_without_a_traceback(tmp_path, fan_file, capsys, argv, code):
@@ -242,8 +244,8 @@ def test_odd_arguments_exit_without_a_traceback(tmp_path, fan_file, capsys, argv
         got = main(argv.format(**paths).split())
     except SystemExit as e:  # argparse's usage error
         got = e.code
-    err = capsys.readouterr().err
-    assert got == code
+    out, err = capsys.readouterr()
+    assert got == code and out == ""
     assert "Traceback" not in err and err.startswith("usage: " if code == 2 else "error: ")
 
 

@@ -266,11 +266,11 @@ class TestFaceIndex:
     def test_ray_cones_are_the_cone_positions(self, f):
         for u in range(f.n_rays):
             positions = [k for k, cone in enumerate(f.max_cones) if u in cone]
-            assert f.ray_cones.get(u, 0) == sum(1 << k for k in positions)
+            assert f.ray_cones[u] == sum(1 << k for k in positions)
 
 
-# a cone lists ray 7 on a 4-ray fan; the face queries keep what they
-# returned when they read a face set built from every submask of every cone
+# a cone lists ray 7 on a 4-ray fan, or ray -1: both fail validation, and
+# every face query on them raises instead of reading the malformed cones
 OUT_OF_RANGE = LatticeFan(
     3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 7)]
 )
@@ -279,32 +279,29 @@ NEGATIVE = LatticeFan(
 )
 
 
-class TestMalformedConeIndices:
-    def test_out_of_range_index(self):
-        f = fresh(OUT_OF_RANGE)
-        assert spans_cone(f, (0, 1)) is True
-        assert spans_cone(f, (1, 2)) is True
-        assert spans_cone(f, (1, 2, 3)) is False
-        with pytest.raises(FanValidationError):
-            ch2_dot_invariant_surface(f, (0,))
-        assert is_primitive_collection(f, (0, 1, 2, 3)) is False
-        assert is_primitive_collection(f, (1, 2, 3)) is True
-        assert wall_neighbors(f, (0, 1)) == (2, 3)
-        with pytest.raises(PreconditionError, match="shared by 1 maximal cones"):
-            wall_neighbors(f, (1, 2))
+#: the face queries, each of which must raise on either fan above
+MALFORMED_QUERIES = [
+    lambda f: spans_cone(f, (0, 1)),
+    lambda f: spans_cone(f, ()),
+    lambda f: ch2_dot_invariant_surface(f, (0,)),
+    lambda f: is_primitive_collection(f, (0, 1, 2, 3)),
+    lambda f: wall_neighbors(f, (0, 1)),
+    lambda f: spans_cone(f, (1, 2)),
+    lambda f: spans_cone(f, (1, 2, 3)),
+    lambda f: is_primitive_collection(f, (1, 2, 3)),
+    lambda f: wall_neighbors(f, (1, 2)),
+]
 
-    @pytest.mark.parametrize(
-        "query",
-        [
-            lambda f: spans_cone(f, (0, 1)),
-            lambda f: spans_cone(f, ()),
-            lambda f: ch2_dot_invariant_surface(f, (0,)),
-            lambda f: is_primitive_collection(f, (0, 1, 2, 3)),
-            lambda f: wall_neighbors(f, (0, 1)),
-        ],
-    )
+
+class TestMalformedConeIndices:
+    @pytest.mark.parametrize("query", MALFORMED_QUERIES)
+    def test_out_of_range_index(self, query):
+        with pytest.raises(FanValidationError):
+            query(fresh(OUT_OF_RANGE))
+
+    @pytest.mark.parametrize("query", MALFORMED_QUERIES)
     def test_negative_index(self, query):
-        with pytest.raises(ValueError):
+        with pytest.raises(FanValidationError):
             query(fresh(NEGATIVE))
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricfans import birational, pipeline
 from toricfans.birational import BlowdownSpec, contract, blowup
@@ -33,6 +33,13 @@ from fixtures import (
     rel_of,
     sixfold,
 )
+
+
+#: every PipelineError.kind that run_step1 raises
+KINDS = {
+    "dimension", "m-dimension", "not-fano", "contractibility", "contraction", "opponents",
+    "stability", "type", "blowdown-budget", "disjointness", "flip", "verification",
+}
 
 
 class TestDetectExceptional:
@@ -293,6 +300,36 @@ class TestRunStep1:
             run_step1(f, (0, 1))
         assert err.value.kind == "m-dimension"
 
+    def test_bundle_with_order_2_centered_reports_its_dimension(self):
+        from toricfans.fanio import build_bundle_over_p1
+
+        f = build_bundle_over_p1([0, 0, 0])  # P1 x P2: m = 1 from the base
+        with pytest.raises(PipelineError) as err:
+            run_step1(f, tuple(sorted(f.label_index[x] for x in ("p0", "p1", "p2"))))
+        assert err.value.kind == "m-dimension"
+        assert str(err.value) == "m-dimension: minimal P-dimension is 1, need 2"
+
+    @pytest.mark.parametrize(
+        "centers,kind,message",
+        [
+            (["v1,v2", "v2,b", "b,v1+v2", "v2,v0"], "stability",
+             "relevant relation changed across blowdown: v1 + v2+b = b + v1+v2"),
+            (["v1,v3,b", "v1,v3", "v1,v2"], "type",
+             "an order-2 relevant relation survived the exceptional pair"),
+            (["v1,v3", "v1,v2", "v2,v0,b", "v3,v0,b"], "blowdown-budget",
+             "more than three order-2 relevant relations"),
+        ],
+    )
+    def test_blowups_of_b3_reach_each_kind(self, centers, kind, message):
+        f = b3()
+        for center in centers:
+            f, _ = blowup(f, tuple(f.label_index[x] for x in center.split(",")))
+        cent = tuple(sorted(f.label_index[x] for x in ("v1", "v0", "b")))
+        with pytest.raises(PipelineError) as err:
+            run_step1(f, cent, require_fano=False)
+        assert err.value.kind == kind
+        assert str(err.value) == f"{kind}: {message}"
+
 
 class TestPipelineSweep:
     def test_single_blowups_of_bundle_products(self):
@@ -339,6 +376,28 @@ class TestPipelineSweep:
                         undone += 1
                     ran += 1
         assert ran >= 25 and undone >= 12, (ran, undone)
+
+    @given(st.lists(st.tuples(st.sampled_from([2, 3]), st.integers(0, 99)), max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_random_blowups_of_b3_reduce_and_replay_or_name_the_failure(self, centers):
+        # at most 7 blowups of the 5-ray b3: at most 12 rays
+        from toricfans.fan import faces_of_dim
+        from toricfans.primitive import centered_collections, minimal_p_dimension
+
+        f = b3()
+        for dim, k in centers:
+            faces = faces_of_dim(f, dim)
+            f, _ = blowup(f, faces[k % len(faces)])
+        assume(minimal_p_dimension(f) == 2)
+        cent = min(c for c in centered_collections(f) if len(c) == 3)
+        try:
+            y, log = run_step1(f, cent, require_fano=False)
+        except PipelineError as e:
+            assert e.kind in KINDS, e
+            return
+        assert log.report.ok
+        assert replay(log) == y
+
     def test_contract_s2_first_sees_degree_zero(self):
         # contracting x2 + b = c first produces the degree-0 relation
         # u + v = x2 + b downstream
