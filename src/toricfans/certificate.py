@@ -60,8 +60,13 @@ class Certificate:
     proven: bool
 
     def describe(self) -> str:
-        m = self.fiber_dim
-        base = f"{_fmt_half(m - 1)}*(a0+a1) - (" + " + ".join(f"a{i}" for i in range(2, m + 1)) + ")"
+        """The held formula: the canonical base in its closed form, any
+        other base term by term (never longer than the base it holds)."""
+        m, held = self.fiber_dim, self.base_doubled
+        if len(held) == m + 1 and held == _canonical_base(m):
+            base = f"{_fmt_half(m - 1)}*(a0+a1) - (" + " + ".join(f"a{i}" for i in range(2, m + 1)) + ")"
+        else:
+            base = " + ".join(f"{_fmt_half(c)}*a{i}" for i, c in enumerate(held)).replace("+ -", "- ") or "0"
         parts = [base]
         for c in self.corrections:
             parts.append(f"- {_fmt_half(c.doubled_coefficient)}*{c.parameter}")

@@ -90,7 +90,6 @@ def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
         raise PreconditionError(f"invariant surfaces are cut by (n-2)-cones, got dim {len(tau)}")
     if not spans_cone(f, tau):
         raise PreconditionError(f"{f.cone_labels(tau)} does not span a cone")
-    f.require_valid()
     tau_bits = ray_mask(tau)
     walls, relations = f.walls, f._wall_relations
     cones = _cones_containing(f, tau)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import certificate as certmod
@@ -49,6 +50,8 @@ def _resolve_centered(f: LatticeFan, spec: str | None):
             i = f.label_index.get(p)
             if i is None:
                 i = int(p) if p.isdecimal() else -1
+            elif sum(r.label == p for r in f.rays) > 1:
+                raise PreconditionError(f"label {p!r} names more than one ray")
             if not 0 <= i < f.n_rays:
                 raise PreconditionError(f"unknown ray {p!r}")
             if i in idx:
@@ -112,8 +115,7 @@ def _cmd_pipeline(args) -> int:
           f"projective {is_projective(y)}")
     cert = certmod.build_certificate(log, fiber_dim=2, cut_out=args.cut_out)
     print(cert.describe())
-    result = certmod.check_certificate(cert)
-    print(f"certificate verdict: {'proven' if result.proven else 'unproven'}")
+    print(f"certificate verdict: {'proven' if cert.proven else 'unproven'}")
     if args.cert:
         doc = certmod.certificate_to_dict(cert, log)
         Path(args.cert).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -121,7 +123,7 @@ def _cmd_pipeline(args) -> int:
     if args.out:
         fanio.write_fan(y, args.out)
         print(f"output fan written to {args.out}")
-    return 0 if result.proven else 1
+    return 0 if cert.proven else 1
 
 
 def _cmd_screen(args) -> int:
@@ -169,7 +171,7 @@ def _cmd_check_cert(args) -> int:
     doc = json.loads(fanio.read_text(args.cert, CertificateError))
     cert = certmod.certificate_from_dict(doc)
     result = certmod.check_certificate(cert)
-    print(cert.describe())
+    print(replace(cert, proven=result.proven).describe())
     for reason in result.reasons:
         print(f"  {reason}")
     print(f"verdict: {'proven' if result.proven else 'unproven'}")

@@ -21,10 +21,10 @@ records each owner's position and side and runs on malformed fans.
 
 Per-cone data (determinants, dual bases) may be handed from a fan to the fan
 a surgery builds from it (``star_subdivision``, ``contract``, ``flip``): an
-entry moves to a maximal cone of the new fan only when that cone's ray
-vectors, row by row, equal those of the cone it came from, so it is the
-same matrix and the same value.  Everything else is derived afresh, and
-every surgery output is still validated in full.
+entry moves by ray vector, to the maximal cone of the new fan whose sorted
+rays have the same vectors in the same order, so it is the same matrix and
+the same value.  Everything else is derived afresh, and every surgery
+output is still validated in full.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class LatticeFan:
     wall table, cone determinants, dual bases, wall and primitive relations)
     is computed on first use and kept.  A surgery output starts with the
     determinants and dual bases that the fan it was built from holds for
-    the cones they share, ray vectors included (``_inherit_cone_data``)."""
+    the cones they share, matched by ray vector (``_inherit_cone_data``)."""
 
     def __init__(
         self,
@@ -96,6 +96,13 @@ class LatticeFan:
                 built.append(Ray(i, lattice.as_vector(r), lab))
         self.rays: tuple[Ray, ...] = tuple(built)
         self.max_cones: tuple[ConeRef, ...] = _canon_cones(max_cones)
+        # memos, filled on first use: determinant and dual basis per maximal
+        # cone, wall relation per wall ray bitmask (the ch2 link walk reads
+        # it directly), primitive relation per collection
+        self._cone_dets: dict[ConeRef, int] = {}
+        self._dual_bases: dict[ConeRef, tuple[IntVector, ...]] = {}
+        self._wall_relations: dict[int, tuple[int, ...]] = {}
+        self._primitive_relations: dict[ConeRef, PrimitiveRelation] = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -219,24 +226,6 @@ class LatticeFan:
                     nonfaces.append(face | 1 << u)
         return tuple(sorted(nonfaces))
 
-    @cached_property
-    def _cone_dets(self) -> dict[ConeRef, int]:
-        return {}
-
-    @cached_property
-    def _dual_bases(self) -> dict[ConeRef, tuple[IntVector, ...]]:
-        return {}
-
-    @cached_property
-    def _wall_relations(self) -> dict[int, tuple[int, ...]]:
-        """wall_relation's memo, keyed by the wall's ray bitmask; the ch2
-        link walk reads it directly."""
-        return {}
-
-    @cached_property
-    def _primitive_relations(self) -> dict[ConeRef, PrimitiveRelation]:
-        return {}
-
     def dual_basis(self, cone: ConeRef) -> tuple[IntVector, ...]:
         """Covectors m_k with <m_k, v_j> = [k == j] for the rays v_j of a
         unimodular cone (the columns of the inverse of its ray matrix), so
@@ -258,24 +247,19 @@ class LatticeFan:
         return self
 
 
-def _inherit_cone_data(child: LatticeFan, parent: LatticeFan, index_map: Sequence[int | None]) -> None:
+def _inherit_cone_data(child: LatticeFan, parent: LatticeFan) -> None:
     """Seed the child's cone determinants and dual bases with the parent's.
 
-    ``index_map[i]`` is the child index of parent ray i (None if the ray is
-    gone).  An entry of a parent maximal cone moves only when its image is
-    a maximal cone of the child whose ray vectors, row by row, equal the
-    parent cone's, so a wrong map can only lose entries, never give a cone
-    the determinant or inverse of another matrix."""
-    vectors = [r.vector for r in child.rays]
-    same = [
-        j is not None and 0 <= j < len(vectors) and vectors[j] == r.vector
-        for r, j in zip(parent.rays, index_map)
-    ]
+    Each parent ray maps, through the child's ``vector_index``, to the
+    child ray with the same vector (None if there is none).  A parent
+    maximal cone's entries move only when its image is a maximal cone of
+    the child: a sorted cone with the same vectors in the same order, so the
+    same matrix."""
+    where = child.vector_index
+    index_map = [where.get(r.vector) for r in parent.rays]
     child_cones = set(child.max_cones)
     dets, duals = parent._cone_dets, parent._dual_bases
     for cone in parent.max_cones:
-        if not all(map(same.__getitem__, cone)):
-            continue
         image = tuple(map(index_map.__getitem__, cone))
         if image not in child_cones:
             continue
@@ -474,7 +458,7 @@ def star_subdivision(f: LatticeFan, center: Iterable[int], label: str | None = N
         else:
             cones.append(cone)
     out = LatticeFan(f.rank, rays, cones)
-    _inherit_cone_data(out, f, range(f.n_rays))
+    _inherit_cone_data(out, f)
     out.require_valid()
     return out
 
@@ -484,8 +468,6 @@ def faces_of_dim(f: LatticeFan, d: int) -> list[ConeRef]:
     deterministic (lexicographic) order."""
     if d < 0 or d > f.rank:
         raise IndexError(f"face dimension {d} out of range 0..{f.rank}")
-    if d == 0:
-        return [ZERO_CONE]
     faces = {sub for cone in f.max_cones for sub in combinations(cone, d)}
     return sorted(faces)
 

@@ -451,7 +451,6 @@ def replay(log: TransformLog) -> LatticeFan:
 
 @dataclass(frozen=True)
 class M3Row:
-    collection: tuple[str, ...]
     relation: str
     tag: str
     contractible: bool
@@ -491,10 +490,9 @@ def diagnose_m3(f: LatticeFan, centered: ConeRef) -> M3Report:
     rel_rows = []
     relevant = relevant_collections(f, cent)
     relevant_sets = [set(q) for q, _, _ in relevant]
-    for q, tag, rel in relevant:
+    for _, tag, rel in relevant:
         rel_rows.append(
             M3Row(
-                collection=f.cone_labels(q),
                 relation=rel.describe(f),
                 tag=tag,
                 contractible=is_contractible(f, rel),

@@ -127,11 +127,14 @@ def minimal_p_dimension(f: LatticeFan) -> int | None:
 
 
 def opponents(f: LatticeFan, ray: int) -> list[int]:
-    """Rays w such that {ray, w} spans no cone."""
+    """Rays w such that {ray, w} spans no cone, ascending: every ray of a
+    valid fan lies in a cone, so these pairs are the order-2 minimal
+    non-faces through ray."""
     f.require_valid()
     if ray < 0 or ray >= f.n_rays:
         raise IndexError(f"ray index {ray} out of range")
-    return [w for w in range(f.n_rays) if w != ray and not spans_cone(f, (ray, w))]
+    bit = 1 << ray
+    return [(p ^ bit).bit_length() - 1 for p in f.minimal_nonfaces if p & bit and p.bit_count() == 2]
 
 
 def require_centered(f: LatticeFan, centered: ConeRef) -> ConeRef:

@@ -280,6 +280,12 @@ def spans_cone(f, s):
     return any(s <= set(cone) for cone in f.max_cones)
 
 
+def opponents(f, ray):
+    """Rays w such that {ray, w} spans no cone, by a spans_cone scan over
+    every other ray."""
+    return [w for w in range(f.n_rays) if w != ray and not spans_cone(f, (ray, w))]
+
+
 def wall_neighbors(f, wall):
     """The rays completing a wall to a maximal cone, by scanning the cones;
     raises AssertionError unless there are exactly two."""

@@ -64,6 +64,9 @@ def _is_dataclass(node):
 
 
 def test_every_dataclass_field_has_a_reader():
+    """Fields are matched by name: a field counts as read when an attribute
+    of that name is read anywhere, so one that shares its name with a field
+    of another class can go unnoticed."""
     fields = {
         f"{node.name}.{item.target.id}": item.target.id
         for path in PACKAGE.glob("*.py")
@@ -80,3 +83,37 @@ def test_every_dataclass_field_has_a_reader():
     }
     unread = sorted(name for name, field in fields.items() if field not in read)
     assert not unread, f"dataclass fields that nothing in the package or perfbench reads: {unread}"
+
+
+#: modules whose import would bring floats, randomness or wall-clock time
+#: into the package
+INEXACT_MODULES = {"random", "numpy", "time"}
+
+
+def _inexact(node):
+    """What in this node breaks the exact-arithmetic rule, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return "float literal"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float() call"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module]
+    else:
+        return None
+    banned = [m for m in modules if m.split(".")[0] in INEXACT_MODULES]
+    return f"import of {banned[0]}" if banned else None
+
+
+def test_arithmetic_is_exact():
+    # integers and Fractions only, and nothing that varies between runs
+    found = sorted(
+        f"{path.name}:{node.lineno}: {what}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(_parse(path))
+        if (what := _inexact(node))
+    )
+    assert not found, f"inexact or nondeterministic code in the package: {found}"

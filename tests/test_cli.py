@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from toricfans.cli import main
+from toricfans.fan import LatticeFan
 from toricfans.fanio import write_fan
 from toricfans.pipeline import run_step1, verify_output
 
@@ -66,6 +68,18 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_ambiguous_centered_label(self, fan_file, capsys):
+        # rays 0 and 1 are both labelled x; the default centered collection
+        # is rays 0 and 2, which reads "x, y" too
+        f = LatticeFan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)], ["x", "x", "y", "z"])
+        path = fan_file(f)
+        assert main(["analyze", path]) == 0
+        assert "centered collection: x, y\n" in capsys.readouterr().out
+        assert main(["analyze", path, "--centered", "x,y"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: label 'x' names more than one ray\n"
+        assert captured.out == ""
 
     def test_invalid_fan_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"
@@ -205,6 +219,42 @@ class TestCheckCert:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["check-cert", str(path)]) == 1
+
+    @staticmethod
+    def write(tmp_path, fiber_dim=2, base=("1/2", "1/2", "-1"), verdict="proven"):
+        doc = {
+            "cert_version": 1,
+            "fiber_dim": fiber_dim,
+            "cut_out": 2,
+            "base": {f"a{i}": c for i, c in enumerate(base)},
+            "corrections": [],
+            "verdict": verdict,
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_prints_the_base_it_checked(self, tmp_path, capsys):
+        # the document claims a proof of a base that grows with a_0 and a_1
+        assert main(["check-cert", self.write(tmp_path, base=("1", "1", "0"))]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "1*a0 + 1*a1 + 0*a2   [NOT proven]"
+        assert lines[-1] == "verdict: unproven"
+
+    def test_prints_the_verdict_it_reached(self, tmp_path, capsys):
+        # the canonical base reads as it always has, with the checked verdict
+        assert main(["check-cert", self.write(tmp_path, verdict="unproven")]) == 0
+        out = capsys.readouterr().out
+        assert out == "1/2*(a0+a1) - (a2)   [proven nonpositive]\nverdict: proven\n"
+
+    def test_huge_fiber_dim_is_rejected_quickly(self, tmp_path, capsys):
+        path = self.write(tmp_path, fiber_dim=10**12)
+        start = time.perf_counter()
+        assert main(["check-cert", path]) == 1
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out
+        assert out.startswith("1/2*a0 + 1/2*a1 - 1*a2   [NOT proven]\n")
+        assert "base term has the wrong arity" in out
 
 
 class TestDiagnose:

@@ -467,26 +467,31 @@ class TestInheritedConeData:
         rays = [r.vector for r in f.rays]
         rays[2] = tuple(2 * x for x in rays[2])
         child = LatticeFan(f.rank, rays, f.max_cones)
-        _inherit_cone_data(child, f, range(f.n_rays))
+        _inherit_cone_data(child, f)
         assert set(child._cone_dets) == {c for c in f.max_cones if 2 not in c}
         assert set(child._dual_bases) == set(child._cone_dets)
         report = validate(child)
         assert not report.ok and "is not unimodular (det" in str(report)
         assert report == validate(fresh(child))
 
-    def test_a_wrong_map_only_loses_entries(self):
-        # a shifted map sends sorted cones to sorted cones with other rows;
-        # the row check must keep every such entry out
+    def test_permuted_rays_move_entries_by_vector(self):
+        # children whose rays are the parent's, permuted: an entry moves only
+        # to the child cone with the same vectors in the same order, whether
+        # the cones follow the rays or keep the parent's index tuples
         f = fivefold(550)
         warm(f)
         n = f.n_rays
-        for index_map in ([(i + 1) % n for i in range(n)], [n - 1 - i for i in range(n)], [None] * n):
-            child = fresh(f)
-            _inherit_cone_data(child, f, index_map)
-            assert_entries_exact(child)
-            assert validate(child) == validate(f)
+        for perm in ([(i + 1) % n for i in range(n)], [n - 1 - i for i in range(n)]):
+            rays = sorted(f.rays, key=lambda r: perm[r.index])
+            for cones in (f.max_cones, [[perm[i] for i in c] for c in f.max_cones]):
+                child = LatticeFan(f.rank, rays, cones)
+                _inherit_cone_data(child, f)
+                images = (tuple(perm[i] for i in c) for c in f.max_cones)
+                assert set(child._cone_dets) == set(images) & set(child.max_cones)
+                assert_entries_exact(child)
+                assert validate(child) == validate(fresh(child))
         child = fresh(f)
-        _inherit_cone_data(child, f, range(n))
+        _inherit_cone_data(child, f)
         assert_cone_data_exact(f, child)
         assert set(child._dual_bases) == set(f.max_cones)
 
@@ -494,7 +499,7 @@ class TestInheritedConeData:
         f = b3()
         warm(f)
         missing = LatticeFan(f.rank, f.rays, f.max_cones[1:])
-        _inherit_cone_data(missing, f, range(f.n_rays))
+        _inherit_cone_data(missing, f)
         assert len(missing._cone_dets) == len(f.max_cones) - 1
         assert not validate(missing).ok
         assert validate(missing) == validate(fresh(missing))

@@ -13,7 +13,7 @@ import pytest
 from toricfans.birational import is_contractible
 from toricfans.chern import screen_2fano
 from toricfans.fan import LatticeFan, faces_of_dim, validate, wall_neighbors
-from toricfans.primitive import primitive_relations
+from toricfans.primitive import opponents, primitive_relations
 
 import oracles
 
@@ -66,6 +66,13 @@ def test_face_walk_on_every_benchmark_fan(benchmark_fans):
     # the walk prunes by neighbours; the submask build tries every ray
     for name, f in benchmark_fans:
         assert f.minimal_nonfaces == oracles.faces_by_submasks(f)[1], name
+
+
+def test_opponents_on_every_benchmark_fan(benchmark_fans):
+    # read off the order-2 minimal non-faces; the oracle scans every ray
+    for name, f in benchmark_fans:
+        for ray in range(f.n_rays):
+            assert opponents(f, ray) == oracles.opponents(f, ray), (name, ray)
 
 
 def test_validate_on_every_benchmark_fan(benchmark_fans):

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from toricfans.errors import PreconditionError
 from toricfans.fan import spans_cone
@@ -31,6 +32,8 @@ from fixtures import (
     rel_of,
     small_zoo,
 )
+import oracles
+from test_enumerator import blown_up_fans
 from test_fan import fresh
 
 
@@ -144,6 +147,12 @@ class TestOpponents:
     def test_fivefold_x1(self):
         f = fivefold(550)
         assert opponents(f, f.label_index["x1"]) == [f.label_index["a"]]
+
+    @given(blown_up_fans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_spans_cone_scan(self, f):
+        for ray in range(f.n_rays):
+            assert opponents(f, ray) == oracles.opponents(f, ray)
 
     def test_at_most_one_opponent_on_fano_m2(self):
         for f in (b3(), fivefold(550), fivefold(659), fivefold(708)):
