@@ -1,7 +1,7 @@
 """Toric intersection theory on smooth complete fans: divisor-times-orbit
 reduction, ch2 against torus-invariant surfaces (one walk around each
 surface's link: each step looks its wall up by ray bitmask in the fan's wall
-table and wall-relation memo; a link that winds more than once, which
+table and wall-relation table; a link that winds more than once, which
 ``validate`` lets through, is rejected by Noether's formula), the
 anticanonical degree of a curve class, and the numeric screens.
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import FanValidationError, PreconditionError
-from .fan import ConeRef, LatticeFan, _cones_containing, faces_of_dim, ray_mask, spans_cone, wall_relation
+from .fan import ConeRef, LatticeFan, _cones_containing, faces_of_dim, ray_mask, spans_cone
 from .primitive import CurveClass
 
 
@@ -77,7 +77,7 @@ def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
     One walk around the link of tau visits its rays w_0 .. w_{k-1} in cyclic
     order, starting in a maximal cone containing tau; each step looks the
     wall tau + w_i up by its ray bitmask in the fan's wall table (the next
-    ray is its other opposite ray) and in the memo of wall relations.  The
+    ray is its other opposite ray) and in ``f.wall_relations``.  The
     wall relation a_i gives C_i = V(tau + w_i) on S its self-intersection
     a_i[w_i], and gives V(v).C_i = a_i[v] for v in tau.  Noether's formula
     for a smooth complete toric surface requires sum a_i[w_i] = 12 - 3k; a
@@ -90,8 +90,11 @@ def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
         raise PreconditionError(f"invariant surfaces are cut by (n-2)-cones, got dim {len(tau)}")
     if not spans_cone(f, tau):
         raise PreconditionError(f"{f.cone_labels(tau)} does not span a cone")
+    repeated = [t for t, s in zip(tau, tau[1:]) if t == s]
+    if repeated:
+        raise PreconditionError(f"{f.cone_labels(tau)} repeats ray {f.ray_label(repeated[0])}")
     tau_bits = ray_mask(tau)
-    walls, relations = f.walls, f._wall_relations
+    walls, relations = f.walls, f.wall_relations
     cones = _cones_containing(f, tau)
     start = next(w for w in f.max_cones[(cones & -cones).bit_length() - 1] if not tau_bits >> w & 1)
     link, rels, n = [], [], f.n_rays
@@ -100,11 +103,8 @@ def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
         if len(link) == n:
             raise FanValidationError(f"the link of {f.cone_labels(tau)} does not close")
         wall = tau_bits | 1 << cur
-        a = relations.get(wall)
-        if a is None:
-            a = wall_relation(f, tau + (cur,))
         link.append(cur)
-        rels.append(a)
+        rels.append(relations[wall])
         u, v = walls[wall]
         prev, cur = cur, v if u == prev else u
     squares = [a[w] for w, a in zip(link, rels)]

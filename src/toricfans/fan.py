@@ -10,14 +10,15 @@ face index: ``spans_cone`` reads the masks, and so does the depth-first walk
 over the faces behind ``LatticeFan.minimal_nonfaces``, which keeps no face
 set and whose cost grows with faces x the rays that share a cone with every
 ray of the face.  The wall table (``LatticeFan.walls``) maps each wall's ray
-bitmask to its opposite rays; it is the only wall structure that
-``wall_neighbors``, ``wall_relation`` (whose memo is keyed by the same
-bitmask; it reads each relation off a dual basis of a valid fan) and the
-ch2 link walk read.  ``validate`` is one sweep over the sorted maximal
-cones: ``lattice.cone_determinants`` eliminates each prefix that
-neighbouring cones share once, and the walls pair by the same bitmask keys
-(each cone's mask with one bit cleared) in a pairing of its own, which
-records each owner's position and side and runs on malformed fans.
+bitmask to its opposite rays, and ``LatticeFan.wall_relations`` maps it to
+its relation, from one sweep across the walls that carries the rays'
+coordinates from cone to cone, so one cone is inverted; both tables serve
+``wall_neighbors``, ``wall_relation`` and the ch2 link walk.  ``validate``
+is one sweep over the sorted maximal cones: ``lattice.cone_determinants``
+eliminates each prefix that neighbouring cones share once, and the walls
+pair by the same bitmask keys (each cone's mask with one bit cleared) in a
+pairing of its own, which records each owner's position and side and runs
+on malformed fans.
 
 Per-cone data (determinants, dual bases) may be handed from a fan to the fan
 a surgery builds from it (``star_subdivision``, ``contract``, ``flip``): an
@@ -75,9 +76,11 @@ def _canon_cones(cones: Iterable[Iterable[int]]) -> tuple[ConeRef, ...]:
 class LatticeFan:
     """Immutable fan; all derived data (ray cone masks, minimal non-faces,
     wall table, cone determinants, dual bases, wall and primitive relations)
-    is computed on first use and kept.  A surgery output starts with the
-    determinants and dual bases that the fan it was built from holds for
-    the cones they share, matched by ray vector (``_inherit_cone_data``)."""
+    is computed on first use and kept; all wall relations come at once, from
+    one sweep across the walls (``wall_relations``).  A surgery output starts
+    with the determinants and dual bases that the fan it was built from
+    holds for the cones they share, matched by ray vector
+    (``_inherit_cone_data``)."""
 
     def __init__(
         self,
@@ -97,11 +100,9 @@ class LatticeFan:
         self.rays: tuple[Ray, ...] = tuple(built)
         self.max_cones: tuple[ConeRef, ...] = _canon_cones(max_cones)
         # memos, filled on first use: determinant and dual basis per maximal
-        # cone, wall relation per wall ray bitmask (the ch2 link walk reads
-        # it directly), primitive relation per collection
+        # cone, primitive relation per collection
         self._cone_dets: dict[ConeRef, int] = {}
         self._dual_bases: dict[ConeRef, tuple[IntVector, ...]] = {}
-        self._wall_relations: dict[int, tuple[int, ...]] = {}
         self._primitive_relations: dict[ConeRef, PrimitiveRelation] = {}
 
     # -- identity ---------------------------------------------------------
@@ -170,6 +171,52 @@ class LatticeFan:
             rays = ray_mask(cone)
             for u in cone:
                 table.setdefault(rays ^ 1 << u, []).append(u)
+        return table
+
+    @cached_property
+    def wall_relations(self) -> dict[int, tuple[int, ...]]:
+        """Per wall ray bitmask (the keys of ``walls``), the relation alpha
+        over all rays with sum_v alpha_v * v = 0, 1 on the two rays opposite
+        the wall and 0 off them and the wall.  Built for a valid fan only,
+        by one depth-first sweep over the maximal cones that inverts only
+        ``max_cones[0]``: col_v[r] is ray r's coordinate on ray v of the
+        current cone.  The wall opposite u1, with u2 on its other side, has
+        alpha_v = -col_v[u2] (col_u1[u2] must be -1); crossing it into
+        cone - u1 + u2 takes col_v to col_v - alpha_v * col_u1, and col_u2 is
+        -col_u1.  Every relation is then checked to vanish on the ray
+        vectors: that fixes it, given its support, so a failure
+        (ArithmeticError) is a defect of this module.  Read-only."""
+        walls, n = self.walls, self.n_rays
+        vectors = [r.vector for r in self.rays]
+        start = self.max_cones[0]
+        cols = {v: [sum(map(mul, m, p)) for p in vectors] for v, m in zip(start, self.dual_basis(start))}
+        table: dict[int, tuple[int, ...]] = {}
+        stack = [(ray_mask(start), cols)]
+        seen = {stack[0][0]}
+        while stack:
+            cone, cols = stack.pop()
+            for u1, col1 in cols.items():
+                wall = cone ^ 1 << u1
+                u2 = sum(walls[wall]) - u1  # the other ray opposite the wall
+                alpha = table.get(wall)
+                if alpha is None:
+                    if col1[u2] != -1:
+                        wall_rays = tuple(sorted(cols.keys() - {u1}))
+                        raise FanValidationError(f"wall {self.cone_labels(wall_rays)} has no integral relation")
+                    alpha = [0] * n
+                    for v, col in cols.items():
+                        alpha[v] = -col[u2]
+                    alpha[u2] = 1
+                    alpha = table[wall] = tuple(alpha)
+                if wall | 1 << u2 not in seen:
+                    seen.add(wall | 1 << u2)
+                    crossed = {v: [x - alpha[v] * y for x, y in zip(col, col1)] if alpha[v] else col
+                               for v, col in cols.items() if v != u1}
+                    crossed[u2] = [-y for y in col1]
+                    stack.append((wall | 1 << u2, crossed))
+        coords = list(zip(*vectors))
+        if any(sum(map(mul, alpha, c)) for alpha in table.values() for c in coords):
+            raise ArithmeticError("a wall relation of the sweep does not vanish on the rays")
         return table
 
     @cached_property
@@ -472,10 +519,18 @@ def faces_of_dim(f: LatticeFan, d: int) -> list[ConeRef]:
     return sorted(faces)
 
 
+def _wall_mask(f: LatticeFan, wall: ConeRef) -> int:
+    """The ray bitmask of a wall given as rank - 1 distinct ray indices in
+    range; anything else raises PreconditionError."""
+    if len(wall) != f.rank - 1 or len(set(wall)) != len(wall) or not all(0 <= i < f.n_rays for i in wall):
+        raise PreconditionError(f"a wall is {f.rank - 1} distinct ray indices in 0..{f.n_rays - 1}, got {tuple(wall)}")
+    return ray_mask(wall)
+
+
 def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
     """The two rays completing a wall ((n-1)-cone) to its maximal cones,
     read from the fan's wall table."""
-    others = sorted(f.walls.get(ray_mask(wall), ()))
+    others = sorted(f.walls.get(_wall_mask(f, wall), ()))
     if len(others) != 2:
         raise PreconditionError(
             f"wall {f.cone_labels(wall)} is shared by {len(others)} maximal cones, expected 2"
@@ -485,28 +540,12 @@ def wall_neighbors(f: LatticeFan, wall: ConeRef) -> tuple[int, int]:
 
 def wall_relation(f: LatticeFan, wall: ConeRef) -> tuple[int, ...]:
     """Integer vector alpha over all rays with sum_v alpha_v * v = 0,
-    normalized to +1 on the two rays opposite the wall, for a valid fan.
-
-    The wall coefficients are the coordinates of -(u1 + u2) in the dual
-    basis of the cone wall + u1, whose u1 coordinate must vanish.  Memoised
-    on the fan by the wall's ray bitmask."""
-    f.require_valid()
+    normalized to +1 on the two rays opposite the wall, for a valid fan:
+    a lookup in ``f.wall_relations`` by the wall's ray bitmask."""
     wall = tuple(wall)
-    key = ray_mask(wall)
-    alpha = f._wall_relations.get(key)
-    if alpha is not None:
-        return alpha
-    u1, u2 = wall_neighbors(f, wall)
-    target = [-(a + b) for a, b in zip(f.vector(u1), f.vector(u2))]
-    host = tuple(sorted(wall + (u1,)))
-    coords = [sum(map(mul, m, target)) for m in f.dual_basis(host)]
-    if coords[host.index(u1)]:
-        raise FanValidationError(f"wall {f.cone_labels(wall)} has no integral relation")
-    alpha = [0] * f.n_rays
-    for v, c in zip(host, coords):  # u1's coordinate 0 is overwritten below
-        alpha[v] = c
-    alpha[u1] = alpha[u2] = 1
-    alpha = f._wall_relations[key] = tuple(alpha)
+    alpha = f.wall_relations.get(_wall_mask(f, wall))
+    if alpha is None:
+        wall_neighbors(f, wall)  # raises: no two maximal cones share it
     return alpha
 
 
@@ -536,9 +575,9 @@ def projectivity_witness(f: LatticeFan) -> tuple[bool, tuple[IntVector, ...], In
     the relations' entries off the cone, in rho + 1 integer equations.  Its
     witness, the divisor lifted by zeros on the cone, is checked again on the
     full wall relations, which checks the projection too."""
-    f.require_valid()
-    walls = faces_of_dim(f, f.rank - 1)
-    relations = tuple(dict.fromkeys(wall_relation(f, w) for w in walls))
+    table = f.wall_relations
+    walls = faces_of_dim(f, f.rank - 1) if f.rank else ()  # the fan of a point has none
+    relations = tuple(dict.fromkeys(table[ray_mask(w)] for w in walls))
     cone = f.max_cones[0]
     off = [v for v in range(f.n_rays) if v not in cone]
     kernel, witness = lattice.gordan_witness([tuple(a[v] for v in off) for a in relations])

@@ -11,6 +11,8 @@ wall curve classes, is the reference for the link walk that computes ch2
 against invariant surfaces.  The Fraction phase-1 simplex is the reference for
 the integer tableau that decides Gordan's alternative, and Fourier-Motzkin
 elimination an independent second one.
+``wall_relation_by_host`` is the per-wall construction from one cone inverse
+each that the fan's single sweep over its maximal cones replaced.
 ``validate_reference`` is the tuple-keyed structural check that one sweep
 of ``fan.validate`` replaced, with every determinant by Bareiss elimination.
 The package's former Bareiss determinant, Fraction Gauss-Jordan solver and
@@ -272,6 +274,25 @@ def check_wall_relation(f, wall, alpha):
         for d, x in enumerate(f.vector(i)):
             total[d] += c * x
     assert all(t == 0 for t in total), f"wall relation does not sum to zero: {total}"
+
+
+def wall_relation_by_host(f, wall):
+    """The wall relation from the inverse of the host cone wall + u1: the
+    coordinates of -(u1 + u2) in its dual basis, whose u1 coordinate must
+    vanish, with 1 on u1 and u2."""
+    from toricfans.lattice import unimodular_inverse
+
+    u1, u2 = wall_neighbors(f, wall)
+    host = tuple(sorted(tuple(wall) + (u1,)))
+    target = [-(a + b) for a, b in zip(f.vector(u1), f.vector(u2))]
+    inverse = unimodular_inverse([f.vector(i) for i in host])
+    coords = [sum(x * y for x, y in zip(target, col)) for col in zip(*inverse)]
+    assert coords[host.index(u1)] == 0, f"wall {wall} has no integral relation"
+    alpha = [0] * f.n_rays
+    for v, c in zip(host, coords):
+        alpha[v] = c
+    alpha[u1] = alpha[u2] = 1
+    return tuple(alpha)
 
 
 def spans_cone(f, s):

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 
-from toricfans import chern
+from toricfans import lattice
 from toricfans.chern import (
     anticanonical_degree,
     candidate_bound_predicate,
@@ -199,7 +199,7 @@ class TestLinkWalk:
         rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
         f = LatticeFan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
         for w in range(f.n_rays):
-            wall_relation(f, (w,))  # the walk reads the true relations from the memo
+            wall_relation(f, (w,))  # the walk reads the true relations from the table
         steps = []
 
         class Counted(dict):
@@ -217,22 +217,24 @@ class TestLinkWalk:
             ch2_dot_invariant_surface(f, ())
         assert len(steps) == f.n_rays  # r0, then r1 r2 r3 r1 r2 until the bound
 
-    def test_walk_reads_each_wall_relation_once(self, monkeypatch):
-        # the walk looks walls up in the memo: each relation is built on its
-        # wall's first visit, and a second screen builds none
-        real, built = chern.wall_relation, []
+    def test_screen_inverts_one_cone(self, monkeypatch):
+        # the walk indexes the fan's wall-relation table, which one sweep
+        # builds from a single cone inverse; a second screen inverts nothing
+        f = fivefold(550)  # reconstruct_fan inverts cones of its own
+        real, inverted = lattice.unimodular_inverse, []
 
-        def counted(fan, wall):
-            built.append(tuple(sorted(wall)))
-            return real(fan, wall)
+        def counted(m):
+            inverted.append(m)
+            return real(m)
 
-        monkeypatch.setattr(chern, "wall_relation", counted)
-        f = fivefold(550)
+        monkeypatch.setattr(lattice, "unimodular_inverse", counted)
         screen_2fano(f)
-        assert sorted(built) == faces_of_dim(f, f.rank - 1)
-        built.clear()
         screen_2fano(f)
-        assert built == []
+        assert len(inverted) <= 1
+
+    def test_repeated_ray_is_rejected(self):
+        with pytest.raises(PreconditionError, match="repeats ray r0"):
+            ch2_dot_invariant_surface(pn(4), (0, 0))
 
 
 class TestDegrees:

@@ -16,6 +16,7 @@ from toricfans.fan import (
     is_projective,
     locate,
     projectivity_witness,
+    ray_mask,
     spans_cone,
     star_subdivision,
     validate,
@@ -563,7 +564,46 @@ class TestWalls:
             with pytest.raises(FanValidationError) as got:
                 wall_relation(f, wall)
             assert str(got.value) == str(report)
-        assert not f._wall_relations
+        assert "wall_relations" not in f.__dict__
+
+    @pytest.mark.parametrize("wall", [(0, 1, 0), (-1, 2), (0, 99), (1, 1)])
+    def test_malformed_wall_is_rejected(self, wall):
+        # b3 has rank 3 and 5 rays: a wall is 2 distinct indices in 0..4
+        for query in (wall_relation, wall_neighbors):
+            with pytest.raises(PreconditionError, match="distinct ray indices"):
+                query(b3(), wall)
+
+    @given(blown_up_fans())
+    @settings(max_examples=30, deadline=None)
+    def test_sweep_matches_per_host_relations(self, f):
+        walls = faces_of_dim(f, f.rank - 1)
+        assert f.wall_relations == {
+            ray_mask(w): oracles.wall_relation_by_host(f, w) for w in walls
+        } == {ray_mask(w): wall_relation_reference(f, w) for w in walls}
+
+    @pytest.mark.parametrize(
+        "f, k, j, error",
+        [
+            (b3(), 0, 1, ArithmeticError),
+            (b3(), 1, 0, FanValidationError),
+            (fivefold(550), 0, 3, ArithmeticError),
+            (nonprojective_3fold(), 0, 2, ArithmeticError),
+            (nonprojective_3fold(), 1, 0, FanValidationError),
+        ],
+    )
+    def test_corrupted_start_inverse_fails_sweep_check(self, f, k, j, error):
+        # mutation test: adding dual covector j of the one cone the sweep
+        # starts from to covector k gives wrong coordinates; a crossing's -1
+        # check or the closing check on the ray vectors rejects them, and
+        # nothing is cached
+        f = fresh(f)
+        cone = f.max_cones[0]
+        duals = list(f.dual_basis(cone))
+        duals[k] = tuple(a + b for a, b in zip(duals[k], duals[j]))
+        f._dual_bases[cone] = tuple(duals)
+        with pytest.raises(error):
+            f.wall_relations
+        assert "wall_relations" not in f.__dict__
 
     def test_dual_basis_is_the_cone_inverse(self):
         f = fivefold(550)
@@ -677,6 +717,10 @@ class TestProjectivity:
         assert is_projective(p2())
         assert is_projective(b3())
         assert is_projective(hirzebruch(2))
+
+    def test_fan_of_a_point_is_projective(self):
+        # no walls, so nothing to pair with: the empty divisor is ample
+        assert projectivity_witness(LatticeFan(0, [], [()])) == (True, (), ())
 
     @pytest.mark.parametrize("f", ZOO + [hirzebruch(3)])
     def test_verdict_matches_fourier_motzkin(self, f):

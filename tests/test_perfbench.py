@@ -12,10 +12,11 @@ import pytest
 
 from toricfans.birational import is_contractible
 from toricfans.chern import screen_2fano
-from toricfans.fan import LatticeFan, faces_of_dim, validate, wall_neighbors
+from toricfans.fan import LatticeFan, faces_of_dim, ray_mask, validate, wall_neighbors
 from toricfans.primitive import opponents, primitive_relations
 
 import oracles
+from test_fan import wall_relation_reference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,6 +86,14 @@ def test_wall_table_on_every_benchmark_fan(benchmark_fans):
     for name, f in benchmark_fans:
         for wall in faces_of_dim(f, f.rank - 1):
             assert wall_neighbors(f, wall) == oracles.wall_neighbors(f, wall), (name, wall)
+
+
+def test_wall_relations_on_every_benchmark_fan(benchmark_fans):
+    # one sweep over the maximal cones against one inverse or one solve per wall
+    for name, f in benchmark_fans:
+        walls = faces_of_dim(f, f.rank - 1)
+        assert f.wall_relations == {ray_mask(w): oracles.wall_relation_by_host(f, w) for w in walls}, name
+        assert f.wall_relations == {ray_mask(w): wall_relation_reference(f, w) for w in walls}, name
 
 
 def test_screen_matches_link_scan_on_every_benchmark_fan(benchmark_fans):
