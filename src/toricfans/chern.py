@@ -93,6 +93,12 @@ def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
     repeated = [t for t, s in zip(tau, tau[1:]) if t == s]
     if repeated:
         raise PreconditionError(f"{f.cone_labels(tau)} repeats ray {f.ray_label(repeated[0])}")
+    return _ch2_by_link_walk(f, tau)
+
+
+def _ch2_by_link_walk(f: LatticeFan, tau: ConeRef) -> Fraction:
+    """ch2_dot_invariant_surface without its checks on tau: tau must be
+    rank - 2 distinct ray indices, sorted, that span a cone of a valid fan."""
     tau_bits = ray_mask(tau)
     walls, relations = f.walls, f.wall_relations
     cones = _cones_containing(f, tau)
@@ -142,7 +148,8 @@ def screen_2fano(f: LatticeFan) -> tuple[list[tuple[ConeRef, Fraction]], Fractio
     f.require_valid()
     if f.rank < 2:
         raise PreconditionError("screening needs dimension >= 2")
-    rows = [(tau, ch2_dot_invariant_surface(f, tau)) for tau in faces_of_dim(f, f.rank - 2)]
+    # faces_of_dim's cones meet the checks that ch2_dot_invariant_surface makes
+    rows = [(tau, _ch2_by_link_walk(f, tau)) for tau in faces_of_dim(f, f.rank - 2)]
     return rows, min(v for _, v in rows)
 
 

@@ -37,6 +37,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _load_fan(path: str) -> LatticeFan:
     f = fanio.read_fan(path)
     f.require_valid()
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="classify a directory of TORICFAN files")
     p.add_argument("directory")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("check-cert", help="validate a certificate JSON")

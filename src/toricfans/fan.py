@@ -13,12 +13,16 @@ ray of the face.  The wall table (``LatticeFan.walls``) maps each wall's ray
 bitmask to its opposite rays, and ``LatticeFan.wall_relations`` maps it to
 its relation, from one sweep across the walls that carries the rays'
 coordinates from cone to cone, so one cone is inverted; both tables serve
-``wall_neighbors``, ``wall_relation`` and the ch2 link walk.  ``validate``
-is one sweep over the sorted maximal cones: ``lattice.cone_determinants``
-eliminates each prefix that neighbouring cones share once, and the walls
-pair by the same bitmask keys (each cone's mask with one bit cleared) in a
-pairing of its own, which records each owner's position and side and runs
-on malformed fans.
+``wall_neighbors``, ``wall_relation`` and the ch2 link walk.  ``locate``
+walks across walls from the cone the sweep starts from, ``max_cones[0]``,
+finds each wall's other cone by the ray masks and derives the dual basis of
+each cone it visits from its neighbour's by a rank-1 update, so the
+primitive and wall relations of a fan invert that one cone between them.
+``validate`` is one sweep over the sorted maximal cones:
+``lattice.cone_determinants`` eliminates each prefix that neighbouring cones
+share once, and the walls pair by the same bitmask keys (each cone's mask
+with one bit cleared) in a pairing of its own, which records each owner's
+position and side and runs on malformed fans.
 
 Per-cone data (determinants, dual bases) may be handed from a fan to the fan
 a surgery builds from it (``star_subdivision``, ``contract``, ``flip``): an
@@ -454,29 +458,81 @@ def spans_cone(f: LatticeFan, s: Iterable[int]) -> bool:
     return _cones_containing(f, idx) != 0
 
 
+def _crossed_basis(f: LatticeFan, cone: ConeRef, duals: tuple[IntVector, ...], k: int, u2: int, neighbour: ConeRef):
+    """The dual basis of ``neighbour``, the maximal cone across the wall
+    opposite the k-th ray u1 of ``cone``, with u2 on the wall's other side:
+    a rank-1 update of the cone's dual basis.  With a_v = <m_v, u2> (a_u1
+    must be -1), m'_u2 = -m_u1 and m'_v = m_v + a_v * m_u1 for the other
+    rays."""
+    u2_vector = f.vector(u2)
+    a = [sum(map(mul, m, u2_vector)) for m in duals]
+    m1 = duals[k]
+    if a[k] != -1:
+        raise FanValidationError(f"wall {f.cone_labels(cone[:k] + cone[k + 1:])} has no integral relation")
+    crossed = {v: tuple(x + a_v * y for x, y in zip(m, m1)) if a_v else m for v, m, a_v in zip(cone, duals, a)}
+    crossed[u2] = tuple(-y for y in m1)
+    return tuple(map(crossed.__getitem__, neighbour))
+
+
 def locate(f: LatticeFan, p: Sequence[int]) -> tuple[ConeRef, tuple[int, ...]]:
     """Minimal cone containing the lattice point p, with its positive
     integer coordinates.
 
     Completeness guarantees some maximal cone contains p; unimodularity makes
     the coordinates integral.  Returns (zero cone, ()) for p = 0.
+
+    A walk across walls from ``max_cones[0]``, the one cone it inverts
+    (``dual_basis``): at each maximal cone it reads p's coordinates
+    <m_v, p> off the cone's dual basis and stops when none is negative.
+    Otherwise it pushes the neighbours across the cone's walls, the walls
+    opposite the most negative coordinates on top; the AND of a wall's ray
+    masks (``f.ray_cones``) holds the two maximal cones that contain it.  A
+    neighbour's dual basis is the one the fan holds (``f._dual_bases``) or a
+    rank-1 update of the current one (``_crossed_basis``).  No maximal cone
+    is visited twice and the adjacency graph is connected, so the walk ends,
+    and completeness makes it end on a cone containing p.  The answer is
+    checked to sum to p on the ray vectors: its support lies in a basis, so
+    that fixes it, and a failure (ArithmeticError) is a defect of this
+    module.  The dual bases the walk derived are kept only when the check
+    passes.
     """
     f.require_valid()
     if len(p) != f.rank:
         raise PreconditionError(f"point has length {len(p)}, rank is {f.rank}")
     if all(x == 0 for x in p):
         return ZERO_CONE, ()
-    for cone in f.max_cones:
-        coords = []
-        for m in f.dual_basis(cone):
-            c = sum(a * b for a, b in zip(m, p))
-            if c < 0:
-                break
-            coords.append(c)
-        else:
+    cones, known = f.max_cones, f._dual_bases
+    every_cone = (1 << len(cones)) - 1  # a wall's cone mask when it has no rays (rank 1)
+    derived: dict[ConeRef, tuple[IntVector, ...]] = {}
+    stack: list[tuple[int, tuple | None]] = [(0, None)]  # (cone position, the crossing into it)
+    seen = set()
+    while stack:
+        pos, step = stack.pop()
+        if pos in seen:
+            continue
+        seen.add(pos)
+        cone = cones[pos]
+        duals = known.get(cone)
+        if duals is None:
+            if step is None:
+                duals = f.dual_basis(cone)
+            else:
+                duals = derived[cone] = _crossed_basis(f, *step, cone)
+        coords = [sum(map(mul, m, p)) for m in duals]
+        if min(coords) >= 0:
             support = tuple(i for i, c in zip(cone, coords) if c > 0)
             coeffs = tuple(c for c in coords if c > 0)
+            if tuple(sum(map(mul, coeffs, col)) for col in zip(*map(f.vector, support))) != tuple(p):
+                raise ArithmeticError(f"the walk's coordinates of {tuple(p)} do not sum to it")
+            known.update(derived)
             return support, coeffs
+        for k in sorted(range(len(cone)), key=coords.__getitem__, reverse=True):
+            # the wall opposite cone[k] lies in this cone and one other
+            sharing = _cones_containing(f, cone[:k] + cone[k + 1:]) & every_cone
+            other = (sharing ^ 1 << pos).bit_length() - 1
+            if other not in seen:
+                u2 = sum(cones[other]) - sum(cone) + cone[k]  # the other cone's ray off the wall
+                stack.append((other, (cone, duals, k, u2)))
     raise FanValidationError(f"no maximal cone contains {tuple(p)}; fan is not complete")
 
 

@@ -433,8 +433,11 @@ def batch_classify(directory: str | Path, workers: int = 1):
 
     Returns (rows in sorted-file order, histogram dim -> {m: count}).  The
     output is byte-identical for any worker count: files are processed in
-    sorted order and reassembled by input position.
+    sorted order and reassembled by input position.  ``workers`` must be
+    positive; the pool never has more workers than there are files.
     """
+    if workers < 1:
+        raise PreconditionError(f"workers must be at least 1, got {workers}")
     paths = sorted(
         str(p) for p in Path(directory).iterdir() if p.suffix in (".fan", ".toricfan")
     )

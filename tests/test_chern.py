@@ -16,7 +16,7 @@ from toricfans.errors import FanValidationError, PreconditionError
 from toricfans.fan import LatticeFan, faces_of_dim, star_subdivision, wall_relation
 from toricfans.fanio import build_bundle_over_p1
 from toricfans.lattice import solve_integer_system
-from toricfans.primitive import primitive_relation, primitive_relations
+from toricfans.primitive import is_fano, primitive_relation, primitive_relations
 from toricfans.certificate import base_value
 
 from fixtures import b3, bl_pt_p2, double_cover_surface, fivefold, p1xp1, p2, p3, pn, product_fan, sixfold, small_zoo
@@ -232,9 +232,32 @@ class TestLinkWalk:
         screen_2fano(f)
         assert len(inverted) <= 1
 
+    def test_classify_inverts_one_cone(self, monkeypatch):
+        # is_fano's walks and the screen's sweep both start from max_cones[0],
+        # the only cone either inverts; the other cones' dual bases are
+        # rank-1 updates across walls
+        f = fivefold(550)
+        f = LatticeFan(f.rank, f.rays, f.max_cones)  # reconstruct_fan inverts cones of its own
+        real, inverted = lattice.unimodular_inverse, []
+
+        def counted(m):
+            inverted.append(m)
+            return real(m)
+
+        monkeypatch.setattr(lattice, "unimodular_inverse", counted)
+        assert is_fano(f)
+        screen_2fano(f)
+        assert inverted == [[f.vector(i) for i in f.max_cones[0]]]
+
     def test_repeated_ray_is_rejected(self):
         with pytest.raises(PreconditionError, match="repeats ray r0"):
             ch2_dot_invariant_surface(pn(4), (0, 0))
+
+    def test_tau_spanning_no_cone_is_rejected(self):
+        # with test_dimension_check and test_repeated_ray_is_rejected, the
+        # three checks that screen_2fano skips on the faces it builds
+        with pytest.raises(PreconditionError, match="does not span a cone"):
+            ch2_dot_invariant_surface(product_fan(p1xp1(), p1xp1()), (0, 1))
 
 
 class TestDegrees:

@@ -282,6 +282,9 @@ class TestDiagnose:
         ("bundle -a 1,x -o {out}", 2),
         ("pipeline {b3} --cut-out 5", 2),
         ("pipeline {b3} --cut-out -1", 2),
+        ("batch {dir} -o {out} --workers 0", 2),
+        ("batch {dir} -o {out} --workers -3", 2),
+        ("batch {dir} -o {out} --workers x", 2),
     ],
 )
 def test_odd_arguments_exit_without_a_traceback(tmp_path, fan_file, capsys, argv, code):
@@ -289,7 +292,7 @@ def test_odd_arguments_exit_without_a_traceback(tmp_path, fan_file, capsys, argv
     binary.write_bytes(b"\xff\xfe\x00")
     listed.write_text("[1, 2]")
     paths = {"b3": fan_file(b3()), "fan2268": fan_file(fan_2268(), "2268.fan"), "binary": binary,
-             "list": listed, "out": tmp_path / "out"}
+             "list": listed, "out": tmp_path / "out", "dir": tmp_path}
     try:
         got = main(argv.format(**paths).split())
     except SystemExit as e:  # argparse's usage error

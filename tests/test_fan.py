@@ -23,7 +23,14 @@ from toricfans.fan import (
     wall_neighbors,
     wall_relation,
 )
-from toricfans.primitive import is_fano, is_primitive_collection, minimal_p_dimension, primitive_relations
+from toricfans.primitive import (
+    is_fano,
+    is_primitive_collection,
+    minimal_p_dimension,
+    primitive_collections,
+    primitive_relation,
+    primitive_relations,
+)
 
 import oracles
 from fixtures import (
@@ -316,6 +323,12 @@ class TestLocate:
     def test_first_quadrant(self):
         assert locate(p2(), (2, 1)) == ((0, 1), (2, 1))
 
+    def test_rank_one(self):
+        # the walk crosses the zero cone, the one wall of P1, which both
+        # maximal cones contain
+        assert locate(pn(1), (-3,)) == ((1,), (3,))
+        assert locate(pn(1), (2,)) == ((0,), (2,))
+
     @given(st.lists(st.integers(-8, 8), min_size=3, max_size=3))
     @settings(max_examples=60)
     def test_coefficients_reproduce_point(self, p):
@@ -355,9 +368,66 @@ class TestLocate:
             assert locate(f, p) == locate_reference(f, p)
             assert locate(f, p) == (rel.focus, rel.coefficients)
 
+    @given(blown_up_fans())
+    @settings(max_examples=40, deadline=None)
+    def test_walks_on_blowup_sequences_match_reference(self, f):
+        assert_walks_exact(f)
+
+    @pytest.mark.parametrize(
+        "f, warmed, pos, k, j, errors",
+        [
+            (b3(), False, 0, 0, 2, {FanValidationError}),
+            (fivefold(550), False, 0, 1, 0, {ArithmeticError, FanValidationError}),
+            (nonprojective_3fold(), False, 0, 0, 2, {ArithmeticError}),
+            (b3(), True, 1, 0, 2, {ArithmeticError}),
+            (nonprojective_3fold(), True, 2, 0, 1, {ArithmeticError}),
+        ],
+    )
+    def test_corrupted_basis_on_the_path_is_caught(self, f, warmed, pos, k, j, errors):
+        # mutation test: adding dual covector j of max_cones[pos] to covector
+        # k gives wrong coordinates, in that cone and (unless every cone
+        # already holds its basis) in every cone the walk derives from it.
+        # Each primitive relation is then either right or rejected, by a
+        # crossing's -1 check (FanValidationError) or the answer check on
+        # the ray vectors (ArithmeticError), with nothing memoised
+        raised = set()
+        for s in primitive_collections(f):
+            g = fresh(f)
+            if warmed:
+                warm(g)
+            cone = g.max_cones[pos]
+            duals = list(g.dual_basis(cone))
+            duals[k] = tuple(a + b for a, b in zip(duals[k], duals[j]))
+            g._dual_bases[cone] = tuple(duals)
+            held = dict(g._dual_bases)
+            try:
+                rel = primitive_relation(g, s)
+            except (ArithmeticError, FanValidationError) as e:
+                raised.add(type(e))
+                assert s not in g._primitive_relations
+                assert g._dual_bases == held
+            else:
+                assert rel == primitive_relation(fresh(f), s)
+        assert raised == errors
+
 
 def rows(f, cone):
     return tuple(f.vector(i) for i in cone)
+
+
+def assert_walks_exact(f):
+    """On an equal fan with empty caches, locate answers as locate_reference
+    for the sum of every primitive collection, and every dual basis its
+    walks keep is lattice.unimodular_inverse's.  Returns how many maximal
+    cones hold a dual basis afterwards (the walks' start and the cones they
+    derived)."""
+    g = fresh(f)
+    for mask in g.minimal_nonfaces:
+        p = lattice.vec_sum([g.vector(i) for i in range(g.n_rays) if mask >> i & 1], g.rank)
+        assert locate(g, p) == locate_reference(g, p), p
+    for cone, duals in g._dual_bases.items():
+        assert duals == tuple(zip(*lattice.unimodular_inverse(rows(g, cone)))), cone
+    return len(g._dual_bases)
 
 
 def new_cones(parent, out):

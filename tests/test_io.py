@@ -235,6 +235,16 @@ class TestBatch:
         assert sizes == ([pool_size] if pool_size else [])
         assert batch_csv(rows) == batch_csv(serial)
 
+    @pytest.mark.parametrize("n_files", [0, 2])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_is_an_error(self, tmp_path, n_files, workers):
+        # checked before the pool is clamped to the file count, so an empty
+        # directory rejects it too
+        for name, fan, _, _m in small_zoo()[:n_files]:
+            write_fan(fan, tmp_path / f"{name}.fan")
+        with pytest.raises(PreconditionError, match="workers must be at least 1"):
+            batch_classify(tmp_path, workers=workers)
+
     def test_unreadable_file_listed(self, tmp_path):
         (tmp_path / "broken.fan").write_text("not a fan\n")
         write_fan(p2(), tmp_path / "ok.fan")
@@ -281,10 +291,12 @@ class TestBatch:
         from toricfans import fanio
 
         write_fan(double_cover_surface(), tmp_path / "cover.fan")
-        # classify meets the cover in the primitive relations, before the screen
+        # classify meets the cover in the primitive relations, before the screen.
+        # r0 + r9 = (0, -3) lies in both sheets: it is 3*r13 in cone (r0, r13),
+        # and 3*r9 + 3*r10 in cone (r9, r10), where locate's walk finds it
         row = fanio.classify_file(str(tmp_path / "cover.fan"))
         assert row.error == (
-            "primitive collection ('r0', 'r10') meets its focus ('r0', 'r1'): "
+            "primitive collection ('r0', 'r9') meets its focus ('r9', 'r10'): "
             "the cones wind more than once around the origin"
         )
         assert not row.internal

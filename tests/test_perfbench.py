@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from toricfans.birational import is_contractible
-from toricfans.chern import screen_2fano
+from toricfans.chern import ch2_dot_invariant_surface, screen_2fano
 from toricfans.fan import LatticeFan, faces_of_dim, ray_mask, validate, wall_neighbors
 from toricfans.primitive import opponents, primitive_relations
 
 import oracles
-from test_fan import wall_relation_reference
+from test_fan import assert_walks_exact, wall_relation_reference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -96,11 +96,21 @@ def test_wall_relations_on_every_benchmark_fan(benchmark_fans):
         assert f.wall_relations == {ray_mask(w): wall_relation_reference(f, w) for w in walls}, name
 
 
+def test_locate_walks_on_every_benchmark_fan(benchmark_fans):
+    # every primitive-collection sum against the cone-by-cone scan, and every
+    # dual basis the walks derive against the cone's inverse
+    held = sum(assert_walks_exact(f) for _, f in benchmark_fans)
+    assert held > len(benchmark_fans)
+
+
 def test_screen_matches_link_scan_on_every_benchmark_fan(benchmark_fans):
     for name, f in benchmark_fans:
         scanned = LatticeFan(f.rank, f.rays, f.max_cones)  # derives its own relations
         rows, _ = screen_2fano(f)
-        assert rows == [(tau, oracles.ch2_by_link_scan(scanned, tau)) for tau in faces_of_dim(f, f.rank - 2)], name
+        faces = faces_of_dim(f, f.rank - 2)
+        assert rows == [(tau, oracles.ch2_by_link_scan(scanned, tau)) for tau in faces], name
+        # the screen skips the public function's checks on the faces it builds
+        assert rows == [(tau, ch2_dot_invariant_surface(f, tau)) for tau in faces], name
 
 
 # sha256 over every row of the screen on the seed-0 classify corpus, one
