@@ -93,12 +93,13 @@ def ch2_dot_invariant_surface(f: LatticeFan, tau: ConeRef) -> Fraction:
     repeated = [t for t, s in zip(tau, tau[1:]) if t == s]
     if repeated:
         raise PreconditionError(f"{f.cone_labels(tau)} repeats ray {f.ray_label(repeated[0])}")
-    return _ch2_by_link_walk(f, tau)
+    return Fraction(_ch2_by_link_walk(f, tau), 2)
 
 
-def _ch2_by_link_walk(f: LatticeFan, tau: ConeRef) -> Fraction:
-    """ch2_dot_invariant_surface without its checks on tau: tau must be
-    rank - 2 distinct ray indices, sorted, that span a cone of a valid fan."""
+def _ch2_by_link_walk(f: LatticeFan, tau: ConeRef) -> int:
+    """2 * ch2_dot_invariant_surface, an integer, without its checks on tau:
+    tau must be rank - 2 distinct ray indices, sorted, that span a cone of a
+    valid fan."""
     tau_bits = ray_mask(tau)
     walls, relations = f.walls, f.wall_relations
     cones = _cones_containing(f, tau)
@@ -125,7 +126,7 @@ def _ch2_by_link_walk(f: LatticeFan, tau: ConeRef) -> Fraction:
         for i in range(1, len(link) - 1):
             before, d = d, rels[i][t] - before - squares[i] * d
             total += d * rels[i + 1][t]
-    return Fraction(total, 2)
+    return total
 
 
 def anticanonical_degree(f: LatticeFan, curve: CurveClass) -> int:
@@ -148,9 +149,11 @@ def screen_2fano(f: LatticeFan) -> tuple[list[tuple[ConeRef, Fraction]], Fractio
     f.require_valid()
     if f.rank < 2:
         raise PreconditionError("screening needs dimension >= 2")
-    # faces_of_dim's cones meet the checks that ch2_dot_invariant_surface makes
-    rows = [(tau, _ch2_by_link_walk(f, tau)) for tau in faces_of_dim(f, f.rank - 2)]
-    return rows, min(v for _, v in rows)
+    # faces_of_dim's cones meet the checks that ch2_dot_invariant_surface
+    # makes; the minimum is taken over the integer totals 2 * ch2 . V(tau)
+    faces = faces_of_dim(f, f.rank - 2)
+    totals = [_ch2_by_link_walk(f, tau) for tau in faces]
+    return [(tau, Fraction(t, 2)) for tau, t in zip(faces, totals)], Fraction(min(totals), 2)
 
 
 def candidate_bound_predicate(n: int, m: int, rho: int) -> bool:

@@ -8,7 +8,9 @@ the maximal cones (by position) that contain it (``LatticeFan.ray_cones``):
 a ray set is a cone iff the AND of its masks is nonzero.  It is the only
 face index: ``spans_cone`` reads the masks, and so does the depth-first walk
 over the faces behind ``LatticeFan.minimal_nonfaces``, which keeps no face
-set and whose cost grows with faces x the rays that share a cone with every
+set and whose cost grows, per join factor of the face complex (it splits
+there, so a product costs the sum of its factors' faces, not their
+product), with faces x the rays that share a cone with every
 ray of the face.  The wall table (``LatticeFan.walls``) maps each wall's ray
 bitmask to its opposite rays, and ``LatticeFan.wall_relations`` maps it to
 its relation, from one sweep across the walls that carries the rays'
@@ -226,8 +228,8 @@ class LatticeFan:
     @cached_property
     def minimal_nonfaces(self) -> tuple[int, ...]:
         """Bitmasks of the minimal non-faces (the primitive collections), in
-        ascending order, from one depth-first walk over the faces in
-        ascending bitmask order.
+        ascending order, from a depth-first walk over the faces of each join
+        factor in ascending bitmask order.
 
         A face F extends by each ray u below its lowest ray: F | u is a face
         iff the AND of the ray masks is nonzero.  Otherwise it is a non-face,
@@ -237,44 +239,79 @@ class LatticeFan:
 
         When |F| >= 2, only the rays u that share a cone with every ray x of
         F are tried: otherwise {x, u} is a non-face properly inside F | u,
-        which is then neither a face nor a minimal non-face."""
+        which is then neither a face nor a minimal non-face.
+
+        The walk runs once per join factor of the face complex that it
+        finds, so it costs the sum of the factors' faces, not their product:
+        the minimal non-faces of a join K[C] * K[V - C] are those of K[C]
+        and those of K[V - C].  Rays of different factors always share a
+        cone, so each factor is a union of connected components of the graph
+        of non-adjacent ray pairs; a component C of two or more rays is a
+        factor iff the distinct C-halves times the distinct rest-halves of
+        the maximal cones number the cones (a cone is fixed by its two
+        halves).  Split-off factors leave the rest-halves as the cones of
+        what remains; the components that fail, and the single rays, walk as
+        one part."""
         n = self.n_rays
         masks = self.ray_cones
         near = [0] * n  # per ray, the rays sharing a maximal cone with it
+        cones = []
         for cone in self.max_cones:
             rays = ray_mask(cone)
+            cones.append(rays)
             for u in cone:
                 near[u] |= rays
+        everything = (1 << n) - 1
+        parts, unsplit, left = [], everything, everything
+        while left:
+            component = frontier = left & -left
+            while frontier:  # breadth-first over the non-adjacent pairs
+                u = frontier.bit_length() - 1
+                frontier ^= 1 << u
+                new = everything & ~near[u] & ~component
+                component |= new
+                frontier |= new
+            left &= ~component
+            if component & (component - 1):
+                halves = {c & ~component for c in cones}
+                if len({c & component for c in cones}) * len(halves) == len(cones):
+                    parts.append(component)
+                    unsplit &= ~component
+                    cones = halves
+        if unsplit:
+            parts.append(unsplit)
         nonfaces = []
-        # (face, its lowest ray or n for the zero cone, AND of its masks,
-        # AND of its rays' neighbours); children are pushed highest ray
-        # first so the walk pops ascending
-        stack = [(0, n, (1 << len(self.max_cones)) - 1, -1)]
-        while stack:
-            face, low, common, shared_near = stack.pop()
-            todo = (shared_near if face & (face - 1) else -1) & ((1 << low) - 1)
-            while todo:
-                u = todo.bit_length() - 1
-                todo ^= 1 << u
-                mask = masks[u]
-                if common & mask:
-                    below = shared_near & near[u]
-                    if (below if face else -1) & ((1 << u) - 1):
-                        stack.append((face | 1 << u, u, common & mask, below))
-                    continue
-                rest = face
-                while rest:  # is some F | u - x a non-face?
-                    bit = rest & -rest
-                    rest ^= bit
-                    shared, others = mask, face ^ bit
-                    while others and shared:
-                        x = others & -others
-                        others ^= x
-                        shared &= masks[x.bit_length() - 1]
-                    if not shared:
-                        break
-                else:
-                    nonfaces.append(face | 1 << u)
+        every_cone = (1 << len(self.max_cones)) - 1
+        for part in parts:
+            # (face, its lowest ray or n for the zero cone, AND of its masks,
+            # AND of its rays' neighbours in the part); children are pushed
+            # highest ray first so the walk pops ascending
+            stack = [(0, n, every_cone, part)]
+            while stack:
+                face, low, common, shared_near = stack.pop()
+                todo = (shared_near if face & (face - 1) else part) & ((1 << low) - 1)
+                while todo:
+                    u = todo.bit_length() - 1
+                    todo ^= 1 << u
+                    mask = masks[u]
+                    if common & mask:
+                        below = shared_near & near[u]
+                        if (below if face else part) & ((1 << u) - 1):
+                            stack.append((face | 1 << u, u, common & mask, below))
+                        continue
+                    rest = face
+                    while rest:  # is some F | u - x a non-face?
+                        bit = rest & -rest
+                        rest ^= bit
+                        shared, others = mask, face ^ bit
+                        while others and shared:
+                            x = others & -others
+                            others ^= x
+                            shared &= masks[x.bit_length() - 1]
+                        if not shared:
+                            break
+                    else:
+                        nonfaces.append(face | 1 << u)
         return tuple(sorted(nonfaces))
 
     def dual_basis(self, cone: ConeRef) -> tuple[IntVector, ...]:

@@ -9,7 +9,9 @@ TORICFAN format (canonical emission is byte-stable):
     <r lines: n space-separated integers, optional " # <label>">
     <k lines: n space-separated 0-based ray indices>
 
-UTF-8, LF line endings, "#" starts a comment.
+UTF-8, LF line endings, "#" starts a comment, blank lines are skipped.
+The one cone of the fan of a point (dim 0) is written as a blank line and
+read back from the size line.
 """
 
 from __future__ import annotations
@@ -75,9 +77,13 @@ def parse_fan(text: str) -> LatticeFan:
         dim, n_rays, n_cones = (int(g) for g in m.groups())
     except ValueError:  # past the interpreter's integer digit limit
         raise ParseError("size line numbers are too large", lineno)
-    if len(rows) != 2 + n_rays + n_cones:
+    # a rank-0 cone has no indices, so its line is blank and not among the rows
+    blank_cones = 0 if dim else n_cones
+    if blank_cones > 1:
+        raise ParseError("a fan of dimension 0 has one maximal cone, the zero cone", lineno)
+    if len(rows) != 2 + n_rays + n_cones - blank_cones:
         raise ParseError(
-            f"expected {n_rays} ray lines and {n_cones} cone lines, found {len(rows) - 2}"
+            f"expected {n_rays} ray lines and {n_cones - blank_cones} cone lines, found {len(rows) - 2}"
         )
     rays = []
     labels = []
@@ -90,7 +96,7 @@ def parse_fan(text: str) -> LatticeFan:
             raise ParseError(f"ray has {len(vec)} coordinates, dim is {dim}", lineno)
         rays.append(vec)
         labels.append(label)
-    cones = []
+    cones = [()] * blank_cones
     for lineno, body, _ in rows[2 + n_rays :]:
         try:
             cone = tuple(int(t) for t in body.split())

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from toricfans import lattice
 from toricfans.chern import (
@@ -28,6 +28,7 @@ from oracles import (
     wall_curve_class,
 )
 from test_enumerator import blown_up_fans
+from test_fan import permuted
 
 
 # curve_divisor_pairing and wall_curve_class are oracles: ch2_by_orbit_reduction
@@ -301,6 +302,28 @@ class TestScreen:
         f = b3()
         rows, _ = screen_2fano(f)
         assert len(rows) == len(faces_of_dim(f, 1))
+
+
+class TestScreenInvariance:
+    """Metamorphic: ch2 . V(tau) is intrinsic to the fan, so a ray
+    permutation moves every row's tau by the permutation and a signed
+    permutation of the coordinates moves nothing."""
+
+    @given(blown_up_fans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ray_permutation(self, f, data):
+        new = data.draw(st.permutations(range(f.n_rays)))
+        rows, minimum = screen_2fano(f)
+        moved = sorted((tuple(sorted(new[i] for i in tau)), value) for tau, value in rows)
+        assert screen_2fano(permuted(f, new)) == (moved, minimum)
+
+    @given(blown_up_fans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_signed_coordinate_permutation(self, f, data):
+        perm = data.draw(st.permutations(range(f.rank)))
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=f.rank, max_size=f.rank))
+        rays = [tuple(s * r.vector[k] for s, k in zip(signs, perm)) for r in f.rays]
+        assert screen_2fano(LatticeFan(f.rank, rays, f.max_cones)) == screen_2fano(f)
 
 
 class TestBundleCrossCheck:

@@ -1,7 +1,7 @@
 """The face walk behind ``LatticeFan.minimal_nonfaces`` (the primitive
 collections) against the submask construction and a brute-force subset
-search, against closed forms, under ray relabelling, and on products past 25
-rays."""
+search, against closed forms, under ray relabelling, on products past 25
+rays, and across its split at the join factors of the face complex."""
 
 import time
 
@@ -12,7 +12,7 @@ from toricfans.birational import blowup
 from toricfans.fan import LatticeFan, ray_mask, spans_cone, star_subdivision
 from toricfans.primitive import primitive_collections
 
-from fixtures import b3, bl_pt_p2, p1xp1, p2, p3, pn, product_fan
+from fixtures import b3, bl_pt_p2, fan_2170, fan_2268, p1xp1, p2, p3, pn, product_fan
 from oracles import faces_by_submasks, minimal_nonfaces_brute_force
 
 
@@ -115,3 +115,53 @@ def test_product_past_old_ray_cap():
     ]
     assert pcs == sorted(expected, key=lambda p: (len(p), p))
     assert elapsed < 5.0, f"27-ray enumeration took {elapsed:.2f}s"
+
+
+@given(blown_up_fans(), st.sampled_from([p2(), p1xp1(), pn(1)]))
+@settings(max_examples=40, deadline=None)
+def test_product_walks_its_factors(fan, other):
+    # a product's face complex is the join of its factors': the walk splits
+    # at the factors and finds each factor's collections, the right one's
+    # shifted past the left one's rays
+    product = product_fan(fan, other)
+    assert product.minimal_nonfaces == faces_by_submasks(product)[1]
+    shifted = [m << fan.n_rays for m in other.minimal_nonfaces]
+    assert product.minimal_nonfaces == tuple(sorted(list(fan.minimal_nonfaces) + shifted))
+
+
+def _is_join_factor(fan, rays):
+    cones = {ray_mask(c) for c in fan.max_cones}
+    return len({c & rays for c in cones}) * len({c & ~rays for c in cones}) == len(cones)
+
+
+@pytest.mark.parametrize("fan,pair", [(fan_2170(), (5, 6)), (fan_2268(), (4, 9))])
+def test_pair_that_is_no_factor(fan, pair):
+    # the two rays share no cone and every other ray shares one with both
+    # (a component of the non-adjacency graph), but the fan is no join over
+    # the pair, so the walk keeps it in the remaining part
+    rays = ray_mask(pair)
+    assert rays in fan.minimal_nonfaces and not _is_join_factor(fan, rays)
+    for u in set(range(fan.n_rays)) - set(pair):
+        assert all(spans_cone(fan, (u, v)) for v in pair)
+    _assert_matches_oracle(fan)
+
+
+@pytest.mark.parametrize("fan", [bl_pt_p2(), p1xp1()])
+def test_four_cycles_are_joins_of_pairs(fan):
+    # a 4-cycle of rays is the join of its two opposite pairs, whether the
+    # fan is a product (P1 x P1) or not (the blowup of P2 at a point)
+    assert fan.minimal_nonfaces == (0b0011, 0b1100)
+    assert _is_join_factor(fan, 0b0011) and _is_join_factor(fan, 0b1100)
+
+
+def test_p1_power_14():
+    # (P1)^14: 28 rays, 16,384 cones and 3^14 faces in one walk; split into
+    # its 14 factors, the walk visits 14 * 3 faces
+    fan = pn(1)
+    for _ in range(13):
+        fan = product_fan(fan, pn(1))
+    assert (fan.n_rays, len(fan.max_cones)) == (28, 2**14)
+    assert fan.minimal_nonfaces == tuple(0b11 << 2 * k for k in range(14))
+    for mask in fan.minimal_nonfaces:
+        u, v = (i for i in range(fan.n_rays) if mask >> i & 1)
+        assert all(a + b == 0 for a, b in zip(fan.vector(u), fan.vector(v)))

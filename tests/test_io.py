@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from toricfans.errors import ParseError, PreconditionError, ReconstructionError
-from toricfans.fan import validate
+from toricfans.fan import LatticeFan, validate
 from toricfans.fanio import (
     batch_classify,
     batch_csv,
@@ -55,6 +55,17 @@ class TestToricfanFormat:
         text = emit_fan(b3())
         assert "# v1" in text and text.startswith("TORICFAN 1\ndim 3 rays 5 maxcones 6\n")
         assert parse_fan(text) == b3()
+
+    def test_point_round_trip(self):
+        # the one cone of the fan of a point has no indices: a blank line
+        point = LatticeFan(0, [], [()])
+        text = emit_fan(point)
+        assert text == "TORICFAN 1\ndim 0 rays 0 maxcones 1\n\n"
+        back = parse_fan(text)
+        assert back == point and back.validation.ok
+        assert emit_fan(back) == text
+        with pytest.raises(ParseError):
+            parse_fan("TORICFAN 1\ndim 0 rays 0 maxcones 2\n\n\n")
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
