@@ -5,16 +5,17 @@ A LatticeFan stores ray generators in Z^n plus the maximal cones as sorted
 index tuples.  The cones of lower dimension are exactly the subsets of
 maximal cones (simpliciality).  The face index is, per ray, the bitmask of
 the maximal cones (by position) that contain it (``LatticeFan.ray_cones``):
-a ray set is a cone iff the AND of its masks is nonzero.  It is the only
-face index: ``spans_cone`` reads the masks, and so does the depth-first walk
-over the faces behind ``LatticeFan.minimal_nonfaces``, which keeps no face
-set and whose cost grows, per join factor of the face complex (it splits
-there, so a product costs the sum of its factors' faces, not their
-product), with faces x the rays that share a cone with every
-ray of the face.  The wall table (``LatticeFan.walls``) maps each wall's ray
-bitmask to its opposite rays, and ``LatticeFan.wall_relations`` maps it to
-its relation, from one sweep across the walls that carries the rays'
-coordinates from cone to cone, so one cone is inverted; both tables serve
+a ray set is a cone iff the AND of its masks is nonzero.  It indexes the
+faces of every dimension: ``spans_cone`` reads the masks, and so does the
+depth-first walk over the faces behind ``LatticeFan.minimal_nonfaces``,
+which keeps no face set and whose cost grows, per join factor of the face
+complex (it splits there, so a product costs the sum of its factors' faces,
+not their product), with faces x the rays that share a cone with every ray
+of the face.  The wall table (``LatticeFan.walls``) indexes the walls only:
+it maps each wall's ray bitmask to its opposite rays, and
+``LatticeFan.wall_relations`` maps it to its relation, from one sweep across
+the walls that carries the rays' coordinates from cone to cone, so one cone
+is inverted; both tables serve
 ``wall_neighbors``, ``wall_relation`` and the ch2 link walk.  ``locate``
 walks across walls from the cone the sweep starts from, ``max_cones[0]``,
 finds each wall's other cone by the ray masks and derives the dual basis of
@@ -81,12 +82,12 @@ def _canon_cones(cones: Iterable[Iterable[int]]) -> tuple[ConeRef, ...]:
 
 class LatticeFan:
     """Immutable fan; all derived data (ray cone masks, minimal non-faces,
-    wall table, cone determinants, dual bases, wall and primitive relations)
-    is computed on first use and kept; all wall relations come at once, from
-    one sweep across the walls (``wall_relations``).  A surgery output starts
-    with the determinants and dual bases that the fan it was built from
-    holds for the cones they share, matched by ray vector
-    (``_inherit_cone_data``)."""
+    wall table, cone determinants, dual bases, wall and primitive relations,
+    relevant collections per centered collection) is computed on first use
+    and kept; all wall relations come at once, from one sweep across the
+    walls (``wall_relations``).  A surgery output starts with the
+    determinants and dual bases that the fan it was built from holds for the
+    cones they share, matched by ray vector (``_inherit_cone_data``)."""
 
     def __init__(
         self,
@@ -106,10 +107,11 @@ class LatticeFan:
         self.rays: tuple[Ray, ...] = tuple(built)
         self.max_cones: tuple[ConeRef, ...] = _canon_cones(max_cones)
         # memos, filled on first use: determinant and dual basis per maximal
-        # cone, primitive relation per collection
+        # cone; primitive relation, or relevant collections, per collection
         self._cone_dets: dict[ConeRef, int] = {}
         self._dual_bases: dict[ConeRef, tuple[IntVector, ...]] = {}
         self._primitive_relations: dict[ConeRef, PrimitiveRelation] = {}
+        self._relevant_collections: dict[ConeRef, tuple] = {}
 
     # -- identity ---------------------------------------------------------
 

@@ -209,25 +209,15 @@ def _relation_at(f: LatticeFan, vectors) -> PrimitiveRelation:
     return primitive_relation(f, [f.vector_index[v] for v in vectors])
 
 
-def _order2_vector_pairs(f: LatticeFan) -> set[frozenset]:
-    return {
-        frozenset(f.vector(i) for i in p)
-        for p in primitive_collections(f)
-        if len(p) == 2
-    }
-
-
-def _contract_step(stage, rel: PrimitiveRelation, x_vectors):
-    """Contract one order-2 relevant relation of a stage (a fan, its centered
-    indices and its relevant collections, each derived once) with the
-    stability checks: the centered collection persists, no new opponent
-    pairs appear, and any relevant collection of the result was already
-    relevant (with the same relation) except for the single predicted
-    exceptional-transfer shape.  Returns the new fan's stage and the vector
-    of the removed ray."""
-    cur, cent, rpc = stage
+def _contract_step(cur: LatticeFan, cent: ConeRef, rel: PrimitiveRelation, x_vectors):
+    """Contract one order-2 relevant relation of ``cur`` (centered indices
+    ``cent``) with the stability checks: the centered collection persists,
+    no new opponent pairs appear, and any relevant collection of the result
+    was already relevant (with the same relation) except for the single
+    predicted exceptional-transfer shape.  Returns the new fan, its centered
+    indices and the vector of the removed ray."""
+    rpc = relevant_collections(cur, cent)
     before = {frozenset(d.lhs): d for d in (_relation_data(cur, r) for _, _, r in rpc)}
-    pairs_before = _order2_vector_pairs(cur)
     (x_idx,) = [i for i in rel.collection if i in cent]
     (aux_idx,) = [i for i in rel.collection if i not in cent]
     pos = cent.index(x_idx)
@@ -246,7 +236,10 @@ def _contract_step(stage, rel: PrimitiveRelation, x_vectors):
     if not is_primitive_collection(new, cent_new):
         raise PipelineError("verification", "centered collection lost after blowdown")
     rpc_new = relevant_collections(new, cent_new)
-    new_pairs = _order2_vector_pairs(new) - pairs_before
+    # every ray of new is a ray of cur, and a pair of rays that spans no cone
+    # is an opponent pair, so a pair of new is new iff it spans a cone of cur
+    pairs = [frozenset(new.vector(i) for i in p) for p in primitive_collections(new) if len(p) == 2]
+    new_pairs = [pair for pair in pairs if spans_cone(cur, [cur.vector_index[v] for v in pair])]
     if new_pairs:
         raise PipelineError(
             "opponents", f"new opponent pairs appeared after blowdown: {sorted(map(sorted, new_pairs))}"
@@ -263,7 +256,7 @@ def _contract_step(stage, rel: PrimitiveRelation, x_vectors):
             raise PipelineError(
                 "stability", f"unexpected new relevant collection after blowdown: {data.text}"
             )
-    return (new, cent_new, rpc_new), b_vec
+    return new, cent_new, b_vec
 
 
 def run_step1(
@@ -289,19 +282,18 @@ def run_step1(
     steps: list[TransformStep] = []
 
     exc = detect_exceptional(f, cent)
-    # a stage: the current fan, its centered indices, its relevant collections
-    stage = (f, cent, relevant_collections(f, cent))
+    cur, cent_now = f, cent
     if exc is not None and exc.pattern == "cyclic3":
         r0, r1 = exc.relations[0], exc.relations[1]
         i_pos, j_pos = exc.positions[1], exc.positions[0]
         (c_idx,) = [i for i in r0.collection if i not in cent]
         r0_lhs = [f.vector(i) for i in r0.collection]
         data1 = _relation_data(f, r1)
-        stage, b1 = _contract_step(stage, r1, x_vectors)
+        cur, cent_now, b1 = _contract_step(cur, cent_now, r1, x_vectors)
         # the second relation survives the first contraction verbatim
-        r0_now = _relation_at(stage[0], r0_lhs)
-        data0 = _relation_data(stage[0], r0_now)
-        stage, b0 = _contract_step(stage, r0_now, x_vectors)
+        r0_now = _relation_at(cur, r0_lhs)
+        data0 = _relation_data(cur, r0_now)
+        cur, cent_now, b0 = _contract_step(cur, cent_now, r0_now, x_vectors)
         steps.append(
             TransformStep(
                 kind="exceptional_pair",
@@ -312,19 +304,18 @@ def run_step1(
                 parameter_ray_label=f.ray_label(c_idx),
             )
         )
-        if any(tag == "type1" for _, tag, _ in stage[2]):
+        if any(tag == "type1" for _, tag, _ in relevant_collections(cur, cent_now)):
             raise PipelineError("type", "an order-2 relevant relation survived the exceptional pair")
     else:
         budget = 3
-        while ones := _type1_data(stage[1], stage[2]):
+        while ones := _type1_data(cent_now, relevant_collections(cur, cent_now)):
             if budget == 0:
                 raise PipelineError("blowdown-budget", "more than three order-2 relevant relations")
             budget -= 1
             # deterministic order: the first by (position, aux ray, rhs ray)
             pos, aux, _, rel = ones[0]
-            cur = stage[0]
-            data = _relation_data(cur, rel)
-            stage, b_vec = _contract_step(stage, rel, x_vectors)
+            data, label = _relation_data(cur, rel), cur.ray_label(aux)
+            cur, cent_now, b_vec = _contract_step(cur, cent_now, rel, x_vectors)
             steps.append(
                 TransformStep(
                     kind="blowdown",
@@ -332,15 +323,14 @@ def run_step1(
                     j=None,
                     relations=(data,),
                     removed=(b_vec,),
-                    parameter_ray_label=cur.ray_label(aux),
+                    parameter_ray_label=label,
                 )
             )
 
     # flip phase: everything left must be of shape x_i + x_j + a = b + c
-    cur, cent_now, leftovers = stage
     specs = []
     flip_meta = []
-    for q, tag, rel in sorted(leftovers, key=lambda t: t[0]):
+    for q, tag, rel in sorted(relevant_collections(cur, cent_now), key=lambda t: t[0]):
         if tag != "type2":
             raise PipelineError(
                 "type",

@@ -122,8 +122,8 @@ def minimal_centered_collection(f: LatticeFan) -> ConeRef | None:
 def minimal_p_dimension(f: LatticeFan) -> int | None:
     """min |P| - 1 over centered primitive collections; None when no centered
     collection exists (possible for proper non-projective fans)."""
-    orders = [len(p) for p in centered_collections(f)]
-    return min(orders) - 1 if orders else None
+    c = minimal_centered_collection(f)
+    return None if c is None else len(c) - 1
 
 
 def opponents(f: LatticeFan, ray: int) -> list[int]:
@@ -206,8 +206,12 @@ def relevant_collections(
 ) -> list[tuple[ConeRef, str, PrimitiveRelation]]:
     """Primitive collections of the form P' u {a} with P' a nonempty proper
     subset of the centered collection and a outside it, each tagged by the
-    shape of its relation."""
-    p = set(require_centered(f, centered))
+    shape of its relation.  Memoised per centered collection on the fan."""
+    key = tuple(sorted(set(centered)))
+    kept = f._relevant_collections.get(key)
+    if kept is not None:
+        return list(kept)
+    p = set(require_centered(f, key))
     m = len(p) - 1
     out = []
     for q in primitive_collections(f):
@@ -216,6 +220,7 @@ def relevant_collections(
         if len(outside) == 1 and inside and inside < p:
             rel = primitive_relation(f, q)
             out.append((q, relevant_type_tag(m, rel), rel))
+    f._relevant_collections[key] = tuple(out)
     return out
 
 

@@ -6,10 +6,12 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from toricfans import pipeline, primitive
 from toricfans.birational import is_contractible
 from toricfans.chern import ch2_dot_invariant_surface, screen_2fano
 from toricfans.fan import LatticeFan, faces_of_dim, ray_mask, validate, wall_neighbors
@@ -17,6 +19,7 @@ from toricfans.primitive import opponents, primitive_relations
 
 import oracles
 from test_fan import assert_walks_exact, wall_relation_reference
+from test_pipeline import assert_rpc_items_agree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,6 +47,41 @@ def reduce_corpus():
     fans = [f for name, f in corpus.classify_corpus() if name in names]
     assert len(fans) == len(names)
     return fans
+
+
+def test_relevant_collections_derived_once_per_fan(monkeypatch):
+    # each fan's relevant collections are a memo on the fan: run_step1's
+    # cycle search, its steps and the output check share one derivation
+    assert not hasattr(pipeline, "_order2_vector_pairs")
+    fans = dict(_load("corpus").classify_corpus())
+    tagged, pinned = [], []
+    tag = primitive.relevant_type_tag
+
+    def counted(m, rel):
+        f = sys._getframe(1).f_locals["f"]  # the fan relevant_collections derives for
+        pinned.append(f)  # keeps the ids distinct
+        tagged.append((id(f), rel.collection))
+        return tag(m, rel)
+
+    monkeypatch.setattr(primitive, "relevant_type_tag", counted)
+    for name, kinds in [
+        ("fivefold550", "exceptional_pair"),
+        ("tower-x", "blowdown+blowdown+blowdown"),
+        ("flip6-x", "flip+flip"),
+    ]:
+        f = fans[name]
+        y, log = pipeline.run_step1(f, primitive.minimal_centered_collection(f))
+        assert "+".join(s.kind for s in log.steps) == kinds
+        assert pipeline.verify_output(y, tuple(y.vector_index[v] for v in log.x_vectors)).ok
+    assert tagged and len(set(tagged)) == len(tagged)
+
+
+def test_report_items_agree_on_the_reduce_corpus(reduce_corpus):
+    for f in reduce_corpus:
+        cent = primitive.minimal_centered_collection(f)
+        assert_rpc_items_agree(pipeline.verify_output(f, cent))
+        y, log = pipeline.run_step1(f, cent)
+        assert_rpc_items_agree(pipeline.verify_output(y, tuple(y.vector_index[v] for v in log.x_vectors)))
 
 
 def test_contractibility_on_the_reduce_corpus(reduce_corpus):

@@ -13,6 +13,7 @@ from toricfans.pipeline import (
     verify_output,
 )
 from toricfans.primitive import (
+    centered_collections,
     is_fano,
     primitive_collections,
     primitive_relations,
@@ -33,6 +34,7 @@ from fixtures import (
     rel_of,
     sixfold,
 )
+from test_enumerator import blown_up_fans
 
 
 #: every PipelineError.kind that run_step1 raises
@@ -420,6 +422,20 @@ class TestVerifyOutput:
         assert not rep.ok
         failing = {c.name for c in rep.checks if not c.ok}
         assert "rpc-empty" in failing and "bundle-locus-codim" in failing
+
+    @given(blown_up_fans())
+    @settings(max_examples=40, deadline=None)
+    def test_rpc_empty_iff_bundle_locus_codim(self, fan):
+        # a relevant collection is exactly a bundle-locus cone of dimension 1
+        cents = centered_collections(fan)
+        assume(cents)
+        for cent in cents:
+            assert_rpc_items_agree(verify_output(fan, cent))
+
+
+def assert_rpc_items_agree(report):
+    items = {c.name: c.ok for c in report.checks}
+    assert items["rpc-empty"] == items["bundle-locus-codim"], str(report)
 
 
 class TestStepInvariants:

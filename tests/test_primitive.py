@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from toricfans.errors import PreconditionError
+from toricfans.errors import FanValidationError, PreconditionError
 from toricfans.fan import spans_cone
 from toricfans.primitive import (
     bundle_locus,
@@ -23,6 +23,7 @@ from fixtures import (
     B3_CENTERED,
     b3,
     centered_of,
+    double_cover_surface,
     fan_2268,
     fivefold,
     hirzebruch,
@@ -202,6 +203,26 @@ class TestRelevant:
 
     def test_b3_empty(self):
         assert relevant_collections(b3(), B3_CENTERED) == []
+
+    @pytest.mark.parametrize(
+        "f,labels", [(fivefold(550), ("x0", "x1", "x2")), (fan_2268(), ("x0", "x1", "x2", "x3"))]
+    )
+    def test_memoised_per_fan(self, f, labels):
+        cent = centered_of(f, labels)
+        rels = relevant_collections(f, cent)
+        rels.clear()  # the caller's list; the memo keeps its own
+        again = relevant_collections(f, tuple(reversed(cent)))
+        assert again and again == relevant_collections(fresh(f), cent)
+        assert relevant_collections(f, cent) is not again
+        with pytest.raises(PreconditionError):  # checked again on a miss
+            relevant_collections(f, cent[1:])
+
+    def test_cover_of_degree_two_is_not_memoised(self):
+        f = double_cover_surface()
+        for _ in range(2):
+            with pytest.raises(FanValidationError, match="wind more than once"):
+                relevant_collections(f, (0, 2))
+        assert f._relevant_collections == {}
 
     def test_2268_tags(self):
         f = fan_2268()
